@@ -245,33 +245,23 @@ def bound_report(
     seed=0,
     exact: bool = False,
     force_integer_lower_bound: bool = False,
-    mc_eyr_samples: int = 200_000,
 ) -> BoundReport:
     """Full pipeline: center, variance, constants, bounds, and (optionally)
     exact or empirical distances.
 
-    sigma comes from the variance decomposition — exact enumeration when
-    feasible, otherwise closed-form case sums plus Monte Carlo for the
-    remainder correlation — never from the sample stream used for the
-    empirical distances.
+    sigma comes from the closed-form Var(Y) at every n, so it depends on
+    neither the seed nor the sample stream used for the empirical distances.
     """
     from .oracle import MAX_MARGINAL_N
-    from .statistic import center, variance_decomposition
+    from .statistic import center, sigma_squared
     from . import montecarlo
 
-    exact_feasible = params.n <= MAX_MARGINAL_N
     score = center(A, params)
-    decomposition = variance_decomposition(
-        score,
-        params,
-        eyr_method="exact" if exact_feasible else "monte-carlo",
-        mc_samples=mc_eyr_samples,
-        seed=np.random.SeedSequence([int(0 if seed is None else seed), 1]),
-    )
-    sigma = math.sqrt(decomposition.sigma_sq)
     M = score.max_abs
-    k1, k2 = kappa1(params), kappa2(params)
+    # alpha1 first: it rejects n < 6, which kappa2 and sigma^2 would not name
     a1, a2 = alpha1(params, M), alpha2(params, M)
+    k1, k2 = kappa1(params), kappa2(params)
+    sigma = math.sqrt(sigma_squared(score, params))
     is_integer = score.is_integer or force_integer_lower_bound
     lower = integer_lower_bound(sigma) if is_integer else None
 
@@ -280,7 +270,7 @@ def bound_report(
         from .distances import kolmogorov_exact, wasserstein_exact
         from .oracle import exact_statistic_law
 
-        if not exact_feasible:
+        if params.n > MAX_MARGINAL_N:
             raise ValueError(
                 f"exact distances need full enumeration, capped at n <= {MAX_MARGINAL_N}; "
                 f"got n = {params.n}"
@@ -312,9 +302,7 @@ def bound_report(
     provenance = {
         "seed": seed,
         "samples": samples or None,
-        "sigma_method": decomposition.e_yr_method,
-        "eyr_ci": decomposition.e_yr_ci,
-        "mc_eyr_samples": None if exact_feasible else mc_eyr_samples,
+        "sigma_method": "closed-form",
     }
     return BoundReport(
         n=params.n,

@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="one bound report for (A, n, theta)")
     add_common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds, theta_default=1.0)
+    p_bounds.set_defaults(func=cmd_bounds)
 
     p_exp = sub.add_parser("experiment", help="sweep n and/or theta, emit CSV rows")
     add_common(p_exp, need_n=False)

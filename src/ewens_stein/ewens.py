@@ -54,8 +54,8 @@ class EwensParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValueError(f"theta must be finite and positive, got {self.theta}")
 
 
 def rising_factorial(x: float, m: int) -> float:

@@ -25,7 +25,12 @@ T = TypeVar("T")
 def worker_count() -> int:
     env = os.environ.get("EWENS_STEIN_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"EWENS_STEIN_THREADS must be an integer, got {env!r}"
+            ) from None
     return min(os.cpu_count() or 1, 8)
 
 

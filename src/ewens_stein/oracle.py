@@ -5,6 +5,9 @@ with the Ewens pmf, so it is deliberately independent of the constructive
 samplers and case-by-case formulas it is used to check.  Hard caps keep
 enumeration affordable: n <= 8 for marginal quantities (40320 permutations),
 n <= 6 for the joint square-bias law (720 permutations x 30 index pairs).
+The one exception is ``_case_sums_direct``, which enumerates index
+configurations rather than permutations: the O(n^6) reference the closed
+case sums of the variance decomposition are checked against.
 """
 
 from __future__ import annotations
@@ -17,6 +20,13 @@ import numpy as np
 
 from .ewens import EwensParams, ewens_pmf
 from .permutations import Permutation
+from .statistic import (
+    CASE_LABELS,
+    ScoreMatrix,
+    _case_constraints,
+    b_value,
+    iter_case_configs,
+)
 
 __all__ = [
     "MAX_MARGINAL_N",
@@ -224,3 +234,40 @@ def exact_square_bias_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
             "degenerate square bias: (Y'-Y'')^2 has zero expectation for this matrix"
         )
     return DiscreteLaw(atoms, normalize=True)
+
+
+def _case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
+    """sum over ordered pairs and configurations of b^2 * theta^{loops},
+    per case, by explicit loops with skip tests."""
+    n, theta = params.n, params.theta
+    pieces: dict[str, list[float]] = {
+        case: [] for case in CASE_LABELS if not case.startswith("A0")
+    }
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            for case, r, s, k, l in iter_case_configs(n, i, j):
+                b = b_value(i, j, r, s, k, l, case, A)
+                if b == 0.0:
+                    continue
+                loops = _config_loops(i, j, r, s, k, l)
+                pieces[case].append(b * b * theta**loops)
+    return {case: math.fsum(vals) for case, vals in pieces.items()}
+
+
+def _config_loops(i: int, j: int, r: int, s: int, k: int, l: int) -> int:
+    """Closed loops in the deduplicated constraint map for this config."""
+    pm = _case_constraints(i, j, r, s, k, l)
+    loops = 0
+    visited: set[int] = set()
+    for start in pm:
+        if start in visited:
+            continue
+        x = start
+        while x in pm and x not in visited:
+            visited.add(x)
+            x = pm[x]
+        if x == start:
+            loops += 1
+    return loops

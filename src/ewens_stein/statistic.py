@@ -2,9 +2,9 @@
 
 Takes a symmetric score matrix through centering, the ten-case partition of
 ordered index pairs, the pair-difference values b, the remainder statistic T
-(whose conditional expectation is the Stein remainder R), the variance
-decomposition of E(Y'-Y'')^2 into case sums, and closed-form bounds on the
-remainder moments.
+(whose conditional expectation is the Stein remainder R), the closed-form
+variance sigma^2 = Var(Y), the decomposition of E(Y'-Y'')^2 into case sums,
+and closed-form bounds on the remainder moments.
 
 Conventions fixed here and used everywhere downstream:
   * matrices are centered internally (grand mean removed), so all Stein
@@ -21,12 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ewens import (
-    EwensParams,
-    constrained_prob,
-    falling_factorial,
-    sample_crp_images,
-)
+from .ewens import EwensParams, falling_factorial
 from .permutations import Permutation
 
 __all__ = [
@@ -42,6 +37,7 @@ __all__ = [
     "iter_case_configs",
     "t_statistic",
     "exact_remainder",
+    "sigma_squared",
     "variance_decomposition",
     "remainder_bounds",
 ]
@@ -62,11 +58,6 @@ CASE_LABELS = (
     "A5_3",
     "A5_4",
 )
-
-# Direct distinct-tuple summation of the variance decomposition is
-# O(n^6); past this size the algebraically identical closed form over
-# per-pair power sums takes over.  Both routes are cross-checked in tests.
-_DIRECT_BETA_MAX_N = 8
 
 # sigma^2 at or below 1e-12 (n M)^2 is floating-point noise for sums of
 # n^2 products and is treated as exactly degenerate.
@@ -100,6 +91,12 @@ def _check_square_symmetric(A: np.ndarray) -> np.ndarray:
     a = np.asarray(A, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"score matrix must be square, got shape {a.shape}")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"score matrix has a non-finite entry ({i + 1}, {j + 1}) = {a[i, j]}"
+        )
     bad = np.argwhere(a != a.T)
     if bad.size:
         i, j = bad[0]
@@ -359,6 +356,47 @@ def exact_remainder(A: ScoreMatrix, params: EwensParams) -> Remainder:
 # ---------------------------------------------------------------------------
 
 
+def sigma_squared(A: ScoreMatrix, params: EwensParams) -> float:
+    """sigma^2 = Var(Y) in closed form: the Ewens analogue of Hoeffding's
+    variance formula for the combinatorial CLT.
+
+    With E[Y] = 0 on the centered matrix, E[Y^2] needs only the one- and
+    two-point constraint probabilities theta^loops / (theta+n-1)_(m).  With
+    G = theta I + (1 - I) and B = A_hat o G:
+
+        sigma^2 = sum(A_hat^2 o G) / (theta+n-1)
+                + [ (sum B)^2 - |rowsum B|^2 - |colsum B|^2 + sum B^2
+                    + (theta-1) sum_{i != j} a_ij a_ji ] / (theta+n-1)_(2)
+
+    The bracket sums b_ij b_kl over i != k, j != l; the last term gives the
+    2-cycles i <-> j their closed-loop weight theta.
+    """
+    n, theta = params.n, params.theta
+    if A.n != n:
+        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
+    if n < 2:
+        raise ValueError(f"sigma^2 needs n >= 2, got n = {n}")
+    a = A.centered
+    g = np.ones((n, n))
+    np.fill_diagonal(g, theta)
+    b = a * g
+    swap = a * a.T
+    one_point = float((a * b).sum()) / (theta + n - 1)
+    two_point = (
+        float(b.sum()) ** 2
+        - float((b.sum(axis=1) ** 2).sum())
+        - float((b.sum(axis=0) ** 2).sum())
+        + float((b * b).sum())
+        + (theta - 1.0) * float(swap.sum() - np.trace(swap))
+    ) / falling_factorial(theta + n - 1, 2)
+    sigma_sq = one_point + two_point
+    if sigma_sq <= DEGENERATE_SIGMA_FACTOR * (n * A.max_abs) ** 2:
+        raise ValueError(
+            f"degenerate variance: sigma^2 = {sigma_sq} is at the noise floor"
+        )
+    return sigma_sq
+
+
 @dataclass(frozen=True)
 class VarianceDecomposition:
     """Case-by-case decomposition of E(Y'-Y'')^2 and the assembled variance.
@@ -374,8 +412,6 @@ class VarianceDecomposition:
     beta54: float
     e_ydiff_sq: float
     e_yr: float
-    e_yr_method: str  # "exact" or "monte-carlo"
-    e_yr_ci: float | None  # 95% CI halfwidth, monte-carlo only
     sigma_sq: float
 
 
@@ -392,20 +428,13 @@ def _case_constraints(
 
 
 def variance_decomposition(
-    A: ScoreMatrix,
-    params: EwensParams,
-    eyr_method: str = "exact",
-    *,
-    mc_samples: int = 200_000,
-    seed: int = 0,
+    A: ScoreMatrix, params: EwensParams
 ) -> VarianceDecomposition:
-    """Evaluate the five case sums and assemble sigma^2.
+    """Evaluate the five case sums and the paper's decomposition of sigma^2.
 
-    For n <= 8 the case sums run by direct summation over distinct index
-    tuples with explicit skip tests; for larger n an algebraically identical
-    closed form over per-pair power sums is used (the two agree to 1e-12 on
-    overlapping n in the test suite).  E[Y'R] = E[Y'T]/(n(n-1)) comes from
-    exact enumeration ("exact", n <= 8) or Monte Carlo ("monte-carlo").
+    The case sums come from the closed form over per-pair power sums;
+    sigma^2 comes from ``sigma_squared``.  E[Y'R] then follows exactly from
+    sigma^2 = (n/8) E(Y'-Y'')^2 + (n/4) E[Y'R].
     """
     n, theta = params.n, params.theta
     if A.n != n:
@@ -413,10 +442,7 @@ def variance_decomposition(
     if n < 6:
         raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
 
-    if n <= _DIRECT_BETA_MAX_N:
-        sums = _case_sums_direct(A, params)
-    else:
-        sums = _case_sums_closed(A, params)
+    sums = _case_sums_closed(A, params)
     d3 = n * (n - 1) * falling_factorial(theta + n - 1, 3)
     d4 = n * (n - 1) * falling_factorial(theta + n - 1, 4)
     beta1 = sums["A1"] / d3
@@ -431,22 +457,7 @@ def variance_decomposition(
         + sums["A4"] / d3
         + (sums["A5_1"] + sums["A5_2"] + sums["A5_3"] + sums["A5_4"]) / d4
     )
-
-    if eyr_method == "exact":
-        e_yr = _e_yr_exact(A, params)
-        ci = None
-    elif eyr_method == "monte-carlo":
-        e_yr, ci = _e_yr_monte_carlo(A, params, mc_samples, seed)
-    else:
-        raise ValueError(
-            f"eyr_method must be 'exact' or 'monte-carlo', got {eyr_method!r}"
-        )
-
-    sigma_sq = n / 8.0 * e_ydiff + n / 4.0 * e_yr
-    if sigma_sq <= DEGENERATE_SIGMA_FACTOR * (n * A.max_abs) ** 2:
-        raise ValueError(
-            f"degenerate variance: sigma^2 = {sigma_sq} is at the noise floor"
-        )
+    sigma_sq = sigma_squared(A, params)
     return VarianceDecomposition(
         beta1=beta1,
         beta3=beta3,
@@ -454,32 +465,9 @@ def variance_decomposition(
         beta52=beta52,
         beta54=beta54,
         e_ydiff_sq=e_ydiff,
-        e_yr=e_yr,
-        e_yr_method=eyr_method,
-        e_yr_ci=ci,
+        e_yr=4.0 / n * (sigma_sq - n / 8.0 * e_ydiff),
         sigma_sq=sigma_sq,
     )
-
-
-def _case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
-    """sum over ordered pairs and configurations of b^2 * theta^{loops},
-    per case, by explicit loops with skip tests."""
-    n, theta = params.n, params.theta
-    sums = {case: 0.0 for case in CASE_LABELS if not case.startswith("A0")}
-    pieces: dict[str, list[float]] = {case: [] for case in sums}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for case, r, s, k, l in iter_case_configs(n, i, j):
-                b = b_value(i, j, r, s, k, l, case, A)
-                if b == 0.0:
-                    continue
-                loops = _config_loops(i, j, r, s, k, l)
-                pieces[case].append(b * b * theta**loops)
-    for case, vals in pieces.items():
-        sums[case] = math.fsum(vals)
-    return sums
 
 
 def iter_case_configs(
@@ -558,23 +546,6 @@ def iter_case_configs(
                     if l == r or l == s or l == k:
                         continue
                     yield "A5_4", r, s, k, l
-
-
-def _config_loops(i: int, j: int, r: int, s: int, k: int, l: int) -> int:
-    """Closed loops in the deduplicated constraint map for this config."""
-    pm = _case_constraints(i, j, r, s, k, l)
-    loops = 0
-    visited: set[int] = set()
-    for start in pm:
-        if start in visited:
-            continue
-        x = start
-        while x in pm and x not in visited:
-            visited.add(x)
-            x = pm[x]
-        if x == start:
-            loops += 1
-    return loops
 
 
 def _pair_power_stats(
@@ -659,58 +630,6 @@ def _case_sums_closed(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
             acc["A5_3"].append(theta * s52)
             acc["A5_4"].append(2.0 * s54_chain + s54_free)
     return {case: math.fsum(vals) for case, vals in acc.items()}
-
-
-def _e_yr_exact(A: ScoreMatrix, params: EwensParams) -> float:
-    """E[Y'R] = E[Y' T]/(n(n-1)) by full enumeration."""
-    from .oracle import MAX_MARGINAL_N, exact_expectation
-
-    n = params.n
-    if n > MAX_MARGINAL_N:
-        raise ValueError(
-            f"exact E[Y'R] needs enumeration (n <= {MAX_MARGINAL_N}); "
-            "use eyr_method='monte-carlo' for larger n"
-        )
-    scale = 1.0 / (n * (n - 1))
-    return exact_expectation(
-        lambda perm: statistic(A, perm) * t_statistic(A, perm, params) * scale,
-        params,
-    )
-
-
-def _e_yr_monte_carlo(
-    A: ScoreMatrix, params: EwensParams, samples: int, seed: int
-) -> tuple[float, float]:
-    """Chunked Monte Carlo for E[Y'T]/(n(n-1)) with a 95% CI halfwidth.
-
-    Chunks are seeded from a spawned SeedSequence and accumulated in chunk
-    order, so the result is identical regardless of worker scheduling.
-    """
-    from .montecarlo import map_chunks
-
-    n = params.n
-    scale = 1.0 / (n * (n - 1))
-    centered = A.centered
-    rows = np.arange(n)
-
-    def run_chunk(rng: np.random.Generator, count: int) -> tuple[float, float, int]:
-        images = sample_crp_images(params, rng, count)
-        y = centered[rows[None, :], images - 1].sum(axis=1)
-        t = np.empty(count)
-        for idx in range(count):
-            perm = Permutation(images[idx].tolist())
-            t[idx] = t_statistic(A, perm, params)
-        prod = y * t * scale
-        return float(prod.sum()), float((prod * prod).sum()), count
-
-    parts = map_chunks(samples, run_chunk, seed)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    count = sum(p[2] for p in parts)
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    ci = 1.96 * math.sqrt(var / count)
-    return mean, ci
 
 
 def remainder_bounds(

@@ -160,7 +160,7 @@ def test_bound_report_exact_on_integer_matrix():
     assert rep.dinf_lower <= rep.dinf_exact
     assert rep.d1_upper == pytest.approx(rep.alpha1 / rep.sigma, rel=1e-15)
     assert rep.dinf_upper == pytest.approx(rep.alpha2 / rep.sigma, rel=1e-15)
-    assert rep.provenance["sigma_method"] == "exact"
+    assert rep.provenance["sigma_method"] == "closed-form"
     assert rep.provenance["samples"] is None
 
 
@@ -188,6 +188,24 @@ def test_bound_report_empirical_consistency():
     assert abs(rep.d1_empirical.d1 - rep.d1_exact) <= 0.02
     assert rep.provenance["samples"] == 40_000
     assert rep.provenance["seed"] == 11
+
+
+def test_bound_report_sigma_is_deterministic(monkeypatch):
+    """Without --samples nothing in a report is random: sigma is the same
+    bits for any seed and any worker count."""
+    rng = np.random.default_rng(16)
+    raw = rng.random((50, 50))
+    raw = (raw + raw.T) / 2
+    p = EwensParams(n=50, theta=1.3)
+    reports = []
+    for seed, threads in ((0, "1"), (1, "1"), (1, "2")):
+        monkeypatch.setenv("EWENS_STEIN_THREADS", threads)
+        reports.append(bound_report(raw, p, seed=seed))
+    assert reports[0].sigma == reports[1].sigma == reports[2].sigma
+    for rep in reports:
+        assert "eyr_ci" not in rep.provenance
+        assert "mc_eyr_samples" not in rep.provenance
+        assert rep.provenance["sigma_method"] == "closed-form"
 
 
 def test_bound_report_scale_equivariance():

@@ -114,6 +114,22 @@ def test_bounds_asymmetric_needs_symmetrize(tmp_path, capsys):
     ) == 0
 
 
+def test_bounds_non_finite_entry_is_named(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    rows = [[(i + 1) * (j + 1) % 7 for j in range(6)] for i in range(6)]
+    rows[2][2] = "nan"
+    path.write_text("\n".join(",".join(str(v) for v in r) for r in rows))
+    assert main(["bounds", "--n", "6", "--matrix", str(path)]) == 2
+    assert "non-finite entry (3, 3) = nan" in capsys.readouterr().err
+
+
+def test_bounds_infinite_theta_is_usage_error(capsys):
+    assert main(["bounds", "--n", "6", "--theta", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert "theta must be finite and positive" in captured.err
+    assert captured.out == ""
+
+
 def test_bounds_small_n_is_usage_error(capsys):
     assert main(["bounds", "--n", "5"]) == 2
     assert "n >= 6" in capsys.readouterr().err

@@ -26,10 +26,9 @@ def test_params_validation():
     EwensParams(n=1, theta=0.1)
     with pytest.raises(ValueError, match="n must be at least 1"):
         EwensParams(n=0, theta=1.0)
-    with pytest.raises(ValueError, match="theta must be positive"):
-        EwensParams(n=3, theta=0.0)
-    with pytest.raises(ValueError, match="theta must be positive"):
-        EwensParams(n=3, theta=-1.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta must be finite and positive"):
+            EwensParams(n=3, theta=bad)
 
 
 def test_factorials():

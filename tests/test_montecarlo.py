@@ -68,3 +68,9 @@ def test_worker_count_default_positive():
     finally:
         if old is not None:
             os.environ["EWENS_STEIN_THREADS"] = old
+
+
+def test_worker_count_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("EWENS_STEIN_THREADS", "abc")
+    with pytest.raises(ValueError, match="EWENS_STEIN_THREADS must be an integer, got 'abc'"):
+        worker_count()

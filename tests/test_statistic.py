@@ -5,6 +5,7 @@ import pytest
 
 from ewens_stein.ewens import EwensParams, constrained_prob, ewens_pmf
 from ewens_stein.oracle import (
+    _case_sums_direct,
     enumerate_permutations,
     exact_expectation,
     exact_statistic_law,
@@ -14,7 +15,6 @@ from ewens_stein.statistic import (
     CASE_LABELS,
     ScoreMatrix,
     _case_sums_closed,
-    _case_sums_direct,
     b_value,
     center,
     classify,
@@ -22,6 +22,7 @@ from ewens_stein.statistic import (
     grand_mean,
     iter_case_configs,
     remainder_bounds,
+    sigma_squared,
     statistic,
     t_statistic,
     variance_decomposition,
@@ -227,23 +228,30 @@ def test_variance_decomposition_frozen():
     assert dec.sigma_sq == pytest.approx(21.0, rel=1e-13)
     assert dec.e_ydiff_sq == pytest.approx(23.893333333333334, rel=1e-13)
     assert dec.e_yr == pytest.approx(2.0533333333333332, rel=1e-13)
-    assert dec.e_yr_method == "exact"
-    assert dec.e_yr_ci is None
 
 
 def test_variance_matches_exact_law():
+    """Closed-form sigma^2 against the enumerated law, and E[Y'R] from the
+    decomposition identity against enumerated E[Y'T]/(n(n-1))."""
+    for n in (6, 7, 8):
+        for k, theta in enumerate((0.3, 1.0, 2.5)):
+            params = EwensParams(n=n, theta=theta)
+            A = random_centered(n, theta, [60, n, k])
+            sigma_sq = sigma_squared(A, params)
+            law = exact_statistic_law(A.centered, params)
+            assert sigma_sq == pytest.approx(law.variance(), rel=1e-12)
+            dec = variance_decomposition(A, params)
+            assert dec.sigma_sq == sigma_sq
+            e_yt = exact_expectation(
+                lambda pi: statistic(A, pi) * t_statistic(A, pi, params), params
+            )
+            assert abs(dec.e_yr - e_yt / (n * (n - 1))) <= 1e-10 * sigma_sq
+    # and on the integer matrix
     for theta in (0.5, 1.0, 2.0):
         params = EwensParams(n=6, theta=theta)
         A = center(INT_MATRIX, params)
-        dec = variance_decomposition(A, params)
         law = exact_statistic_law(A.centered, params)
-        assert dec.sigma_sq == pytest.approx(law.variance(), rel=1e-12)
-    # and on a non-integer matrix at n = 7
-    params = EwensParams(n=7, theta=1.3)
-    A = random_centered(7, 1.3, 11)
-    dec = variance_decomposition(A, params)
-    law = exact_statistic_law(A.centered, params)
-    assert dec.sigma_sq == pytest.approx(law.variance(), rel=1e-11)
+        assert sigma_squared(A, params) == pytest.approx(law.variance(), rel=1e-12)
 
 
 def test_ydiff_matches_conjugation_enumeration():
@@ -275,19 +283,6 @@ def test_direct_and_closed_case_sums_agree():
             assert closed[case] == pytest.approx(value, rel=1e-11, abs=1e-13)
 
 
-def test_variance_monte_carlo_eyr():
-    params = EwensParams(n=6, theta=1.0)
-    A = center(INT_MATRIX, params)
-    exact = variance_decomposition(A, params, eyr_method="exact")
-    mc = variance_decomposition(A, params, eyr_method="monte-carlo",
-                                mc_samples=60_000, seed=4)
-    assert mc.e_yr_method == "monte-carlo"
-    assert mc.e_yr_ci is not None and mc.e_yr_ci > 0
-    assert abs(mc.e_yr - exact.e_yr) <= 6.0 * mc.e_yr_ci
-    with pytest.raises(ValueError, match="eyr_method"):
-        variance_decomposition(A, params, eyr_method="bogus")
-
-
 def test_variance_guards():
     params = EwensParams(n=5, theta=1.0)
     A = center(np.ones((5, 5)) + np.eye(5), params)
@@ -297,6 +292,8 @@ def test_variance_guards():
     flat = center(np.full((6, 6), 2.5), params6)
     with pytest.raises(ValueError, match="degenerate variance"):
         variance_decomposition(flat, params6)
+    with pytest.raises(ValueError, match="degenerate variance"):
+        sigma_squared(flat, params6)
 
 
 def test_exact_remainder_properties():
