@@ -2,8 +2,8 @@
 
 Subcommands: pmf (probability queries), bounds (one bound report),
 verify (named self-check suites), experiment (parameter sweeps to CSV).
-Exit codes: 0 success, 1 runtime/numeric failure (e.g. degenerate
-variance), 2 usage or validation error.
+Exit codes: 0 success, 1 runtime/numeric failure (a DegenerateError,
+e.g. degenerate variance), 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from .bounds import CSV_COLUMNS, bound_report
 from .ewens import EwensParams, cycle_type_pmf, ewens_pmf
 from .permutations import CycleType, Permutation
+from .statistic import DegenerateError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -462,15 +463,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        message = str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        if "degenerate" in message:
-            return EXIT_RUNTIME
-        return EXIT_USAGE
-    except RuntimeError as exc:
+    except (DegenerateError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .ewens import (
 )
 from .permutations import Permutation, reduce_delete
 from .statistic import (
+    DegenerateError,
     ScoreMatrix,
     _case_constraints,
     _distinct_square_sum,
@@ -197,7 +198,7 @@ def index_square_bias_weights(A: ScoreMatrix, params: EwensParams) -> np.ndarray
                     w for _, w in _pair_bucket_weights(A, params, i, j)
                 )
     if not W.any():
-        raise ValueError(
+        raise DegenerateError(
             "degenerate square bias: (Y'-Y'')^2 has zero expectation for this matrix"
         )
     return W
@@ -334,7 +335,7 @@ class SquareBiasSampler:
         cum = np.cumsum(w)
         total = cum[-1]
         if not total > 0.0:
-            raise ValueError(
+            raise DegenerateError(
                 "degenerate square bias: conditional weights sum to zero"
             )
         pos = int(np.searchsorted(cum, rng.random() * total, side="right"))
@@ -502,7 +503,7 @@ def sample_prepost(
     """
     sampler = SquareBiasSampler(A, params)
     if not sampler.pair_weights[i - 1, j - 1] > 0.0:
-        raise ValueError(
+        raise DegenerateError(
             f"degenerate square bias: pair ({i}, {j}) carries zero weight"
         )
     return sampler.sample_config(i, j, _as_rng(seed))

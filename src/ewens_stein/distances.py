@@ -91,13 +91,37 @@ class DistanceEstimate:
         }
 
 
-def _standardized_atoms(law, mean: float, sigma: float) -> list[tuple[float, float]]:
+def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
+    """Phi at every element of x, each equal to ``normal_cdf`` of it."""
+    erfc = np.fromiter(map(math.erfc, (-x / _SQRT2).tolist()), dtype=float, count=len(x))
+    return np.clip(0.5 * erfc, 0.0, 1.0)
+
+
+def _sorted_samples(samples) -> np.ndarray:
+    w = np.sort(np.asarray(samples, dtype=float))
+    if len(w) < MIN_EMPIRICAL_SAMPLES:
+        raise ValueError(
+            f"empirical distances need at least {MIN_EMPIRICAL_SAMPLES} samples; got {len(w)}"
+        )
+    return w
+
+
+def _standardized_atoms(law, mean: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The law's atoms as (standardized values, probabilities) arrays."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     total = law.total_mass()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"law must be normalized; total mass is {total}")
-    return [((v - mean) / sigma, p) for v, p in law.atoms]
+    return (law.values_array() - mean) / sigma, law.probs_array()
+
+
+def _sup_gap(x: np.ndarray, levels: np.ndarray) -> float:
+    """max over atoms of |F(w-) - Phi(w)| and |F(w) - Phi(w)|, where
+    ``levels`` holds F(w) at each sorted atom w of x."""
+    phis = _normal_cdf_array(x)
+    before = np.concatenate(([0.0], levels[:-1]))
+    return float(np.max(np.maximum(np.abs(before - phis), np.abs(levels - phis))))
 
 
 def kolmogorov_exact(law, mean: float, sigma: float) -> float:
@@ -106,18 +130,8 @@ def kolmogorov_exact(law, mean: float, sigma: float) -> float:
     The supremum over t is attained at an atom from one side or the other,
     so both F(w-) and F(w) are compared against Phi(w) at every atom.
     """
-    best = 0.0
-    cum = 0.0
-    for w, p in _standardized_atoms(law, mean, sigma):
-        phi = normal_cdf(w)
-        gap = abs(cum - phi)
-        if gap > best:
-            best = gap
-        cum += p
-        gap = abs(cum - phi)
-        if gap > best:
-            best = gap
-    return best
+    x, probs = _standardized_atoms(law, mean, sigma)
+    return _sup_gap(x, np.cumsum(probs))
 
 
 def kolmogorov_empirical(samples) -> DistanceEstimate:
@@ -125,16 +139,9 @@ def kolmogorov_empirical(samples) -> DistanceEstimate:
 
     The 95% confidence halfwidth comes from the DKW inequality.
     """
-    w = np.sort(np.asarray(samples, dtype=float))
+    w = _sorted_samples(samples)
     count = len(w)
-    if count < MIN_EMPIRICAL_SAMPLES:
-        raise ValueError(
-            f"empirical distances need at least {MIN_EMPIRICAL_SAMPLES} samples; got {count}"
-        )
-    phis = 0.5 * np.array([math.erfc(-x / _SQRT2) for x in w])
-    hi = np.arange(1, count + 1) / count
-    lo = np.arange(0, count) / count
-    d_inf = float(np.max(np.maximum(np.abs(hi - phis), np.abs(lo - phis))))
+    d_inf = _sup_gap(w, np.arange(1, count + 1) / count)
     halfwidth = math.sqrt(math.log(2.0 / 0.05) / (2.0 * count))
     return DistanceEstimate(
         d1=None,
@@ -145,45 +152,35 @@ def kolmogorov_empirical(samples) -> DistanceEstimate:
     )
 
 
-def _piecewise_l1(atoms: list[tuple[float, float]]) -> tuple[float, list[float]]:
-    """integral of |F - Phi| for the step CDF through the given atoms.
+def _piecewise_l1(x: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Per-piece integrals of |F - Phi| for the step CDF with the given
+    masses at the sorted atoms x, tails included.
 
-    Returns the total plus per-piece contributions (tails included), each
-    computed in closed form from Phi's antiderivative; pieces straddling
-    F = Phi split at Phi^{-1}(c).
+    Each piece is closed-form in Phi's antiderivative I; a piece where F
+    crosses Phi splits at Phi^{-1}(c).  The total is the fsum of the pieces.
     """
-    pieces: list[float] = []
-    # left tail: F = 0
-    first = atoms[0][0]
-    pieces.append(_phi_antiderivative(first))
-
-    def level_piece(c: float, a: float, b: float) -> float:
-        # integral over (a, b) of |c - Phi|
-        phi_a, phi_b = normal_cdf(a), normal_cdf(b)
-        ia, ib = _phi_antiderivative(a), _phi_antiderivative(b)
-        if phi_b <= c:
-            return c * (b - a) - (ib - ia)
-        if phi_a >= c:
-            return (ib - ia) - c * (b - a)
+    phi = _normal_cdf_array(x)
+    anti = x * phi + _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    # F on (x[k], x[k+1]) is the running mass through atom k
+    level = np.clip(np.cumsum(masses[:-1]), 0.0, 1.0)
+    a, b = x[:-1], x[1:]
+    phi_a, phi_b = phi[:-1], phi[1:]
+    ia, ib = anti[:-1], anti[1:]
+    below = level * (b - a) - (ib - ia)  # Phi <= c on the whole piece
+    inner = np.where(phi_b <= level, below, -below)
+    for k in np.flatnonzero((phi_a < level) & (phi_b > level)):
+        c = level[k]
         z = _NORMAL.inv_cdf(c)
         iz = _phi_antiderivative(z)
-        return (c * (z - a) - (iz - ia)) + ((ib - iz) - c * (b - z))
-
-    cum = 0.0
-    for idx in range(len(atoms) - 1):
-        cum += atoms[idx][1]
-        level = min(max(cum, 0.0), 1.0)
-        pieces.append(level_piece(level, atoms[idx][0], atoms[idx + 1][0]))
-    # right tail: F = 1
-    pieces.append(_upper_tail_integral(atoms[-1][0]))
-    return math.fsum(pieces), pieces
+        inner[k] = (c * (z - a[k]) - (iz - ia[k])) + ((ib[k] - iz) - c * (b[k] - z))
+    left = _phi_antiderivative(x[0])  # F = 0
+    right = _upper_tail_integral(x[-1])  # F = 1
+    return np.concatenate(([left], inner, [right]))
 
 
 def wasserstein_exact(law, mean: float, sigma: float) -> float:
     """integral over t of |F_W(t) - Phi(t)| for the standardized law."""
-    atoms = _standardized_atoms(law, mean, sigma)
-    total, _ = _piecewise_l1(atoms)
-    return total
+    return math.fsum(_piecewise_l1(*_standardized_atoms(law, mean, sigma)).tolist())
 
 
 def wasserstein_empirical(samples) -> DistanceEstimate:
@@ -193,18 +190,12 @@ def wasserstein_empirical(samples) -> DistanceEstimate:
     piecewise integral; the reported halfwidth is a heuristic from the
     per-piece contribution variance, not a rigorous confidence bound.
     """
-    w = np.sort(np.asarray(samples, dtype=float))
+    w = _sorted_samples(samples)
     count = len(w)
-    if count < MIN_EMPIRICAL_SAMPLES:
-        raise ValueError(
-            f"empirical distances need at least {MIN_EMPIRICAL_SAMPLES} samples; got {count}"
-        )
-    atoms = [(float(x), 1.0 / count) for x in w]
-    total, pieces = _piecewise_l1(atoms)
-    arr = np.array(pieces)
-    halfwidth = float(1.96 * arr.std() * math.sqrt(len(arr)))
+    pieces = _piecewise_l1(w, np.full(count, 1.0 / count))
+    halfwidth = float(1.96 * pieces.std() * math.sqrt(len(pieces)))
     return DistanceEstimate(
-        d1=total,
+        d1=math.fsum(pieces.tolist()),
         d_inf=None,
         method="empirical",
         samples=count,

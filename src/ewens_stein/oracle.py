@@ -13,15 +13,17 @@ case sums of the variance decomposition are checked against.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from itertools import permutations as _itertools_permutations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .ewens import EwensParams, ewens_pmf
+from .ewens import EwensParams, ewens_pmf, rising_factorial
 from .permutations import Permutation
 from .statistic import (
     CASE_LABELS,
+    DegenerateError,
     ScoreMatrix,
     _case_constraints,
     b_value,
@@ -173,19 +175,32 @@ def exact_statistic_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
 
     ``A`` is used exactly as given (pass the centered matrix for the
     centered statistic); this routine does its own summation rather than
-    calling the statistic module, so the two paths stay independent.
+    calling the statistic module, so the two paths stay independent.  S_n
+    is one (n!, n) array of 0-based images, Y one gather-sum over A, and
+    the pmf theta^{#cycles} / theta^{(n)}.
     """
-    n = params.n
+    n, theta = params.n, params.theta
     _check_cap(n, MAX_MARGINAL_N, "exact_statistic_law")
     a = np.asarray(A, dtype=float)
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape} does not match n = {n}")
-    rows = a.tolist()
-    atoms = []
-    for perm in enumerate_permutations(n):
-        y = math.fsum(rows[i][x - 1] for i, x in enumerate(perm.image))
-        atoms.append((y, ewens_pmf(perm, params)))
-    return DiscreteLaw(atoms)
+    images = np.fromiter(
+        chain.from_iterable(_itertools_permutations(range(n))),
+        dtype=np.intp,
+        count=math.factorial(n) * n,
+    ).reshape(-1, n)
+    labels = np.arange(n)
+    # least label on each point's cycle, from pi^1(i), ..., pi^{n-1}(i)
+    walk = images
+    least = np.minimum(labels, walk)
+    for _ in range(n - 2):
+        walk = np.take_along_axis(images, walk, axis=1)
+        np.minimum(least, walk, out=least)
+    cycles = (least == labels).sum(axis=1)
+    theta_powers = np.array([theta**k for k in range(n + 1)])
+    probs = theta_powers[cycles] / rising_factorial(theta, n)
+    ys = a[labels, images].sum(axis=1)
+    return DiscreteLaw(list(zip(ys.tolist(), probs.tolist())))
 
 
 def exact_expectation(
@@ -230,7 +245,7 @@ def exact_square_bias_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
                 if w > 0.0:
                     atoms.append(((y1, y2), w))
     if not atoms:
-        raise ValueError(
+        raise DegenerateError(
             "degenerate square bias: (Y'-Y'')^2 has zero expectation for this matrix"
         )
     return DiscreteLaw(atoms, normalize=True)

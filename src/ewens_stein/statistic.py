@@ -25,6 +25,7 @@ from .ewens import EwensParams, falling_factorial
 from .permutations import Permutation
 
 __all__ = [
+    "DegenerateError",
     "ScoreMatrix",
     "CASE_LABELS",
     "Remainder",
@@ -62,6 +63,11 @@ CASE_LABELS = (
 # sigma^2 at or below 1e-12 (n M)^2 is floating-point noise for sums of
 # n^2 products and is treated as exactly degenerate.
 DEGENERATE_SIGMA_FACTOR = 1e-12
+
+
+class DegenerateError(ValueError):
+    """The input is valid but the quantity asked for is degenerate: zero
+    variance or a square-bias law with no mass."""
 
 
 @dataclass(frozen=True)
@@ -356,6 +362,18 @@ def exact_remainder(A: ScoreMatrix, params: EwensParams) -> Remainder:
 # ---------------------------------------------------------------------------
 
 
+def _check_matrix_params(A: ScoreMatrix, params: EwensParams) -> None:
+    """A must be n x n and centered under params.theta: a matrix centered
+    under another theta has E[Y] != 0, so E[Y^2] would not be Var(Y)."""
+    if A.n != params.n:
+        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {params.n}")
+    if A.theta_used != params.theta:
+        raise ValueError(
+            f"matrix was centered under theta = {A.theta_used} "
+            f"but params.theta = {params.theta}"
+        )
+
+
 def sigma_squared(A: ScoreMatrix, params: EwensParams) -> float:
     """sigma^2 = Var(Y) in closed form: the Ewens analogue of Hoeffding's
     variance formula for the combinatorial CLT.
@@ -372,8 +390,7 @@ def sigma_squared(A: ScoreMatrix, params: EwensParams) -> float:
     2-cycles i <-> j their closed-loop weight theta.
     """
     n, theta = params.n, params.theta
-    if A.n != n:
-        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
+    _check_matrix_params(A, params)
     if n < 2:
         raise ValueError(f"sigma^2 needs n >= 2, got n = {n}")
     a = A.centered
@@ -391,7 +408,7 @@ def sigma_squared(A: ScoreMatrix, params: EwensParams) -> float:
     ) / falling_factorial(theta + n - 1, 2)
     sigma_sq = one_point + two_point
     if sigma_sq <= DEGENERATE_SIGMA_FACTOR * (n * A.max_abs) ** 2:
-        raise ValueError(
+        raise DegenerateError(
             f"degenerate variance: sigma^2 = {sigma_sq} is at the noise floor"
         )
     return sigma_sq
@@ -437,8 +454,7 @@ def variance_decomposition(
     sigma^2 = (n/8) E(Y'-Y'')^2 + (n/4) E[Y'R].
     """
     n, theta = params.n, params.theta
-    if A.n != n:
-        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
+    _check_matrix_params(A, params)
     if n < 6:
         raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
 

@@ -142,6 +142,14 @@ def test_bounds_degenerate_matrix_is_runtime_error(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_invalid_thread_count_is_usage_error_whatever_its_text(monkeypatch, capsys):
+    # the exit code follows the error type, not words in the message
+    for value in ("abc", "degenerate"):
+        monkeypatch.setenv("EWENS_STEIN_THREADS", value)
+        assert main(["bounds", "--n", "6", "--samples", "2000"]) == 2
+        assert "EWENS_STEIN_THREADS must be an integer" in capsys.readouterr().err
+
+
 def test_generators():
     rng = np.random.default_rng(1)
     for name in GENERATORS:

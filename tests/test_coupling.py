@@ -19,7 +19,14 @@ from ewens_stein.coupling import (
 from ewens_stein.ewens import EwensParams, constrained_prob, sample_crp_images
 from ewens_stein.oracle import exact_square_bias_law
 from ewens_stein.permutations import Permutation, cycle_type, reduce_delete
-from ewens_stein.statistic import b_value, center, classify, statistic, variance_decomposition
+from ewens_stein.statistic import (
+    DegenerateError,
+    b_value,
+    center,
+    classify,
+    statistic,
+    variance_decomposition,
+)
 
 
 def random_centered(n, theta, seed):
@@ -87,7 +94,7 @@ def test_index_weights_sum_to_ydiff():
 def test_index_weights_degenerate():
     params = EwensParams(n=6, theta=1.0)
     A = center(np.zeros((6, 6)), params)
-    with pytest.raises(ValueError, match="degenerate square bias"):
+    with pytest.raises(DegenerateError, match="degenerate square bias"):
         index_square_bias_weights(A, params)
 
 

@@ -1,4 +1,6 @@
 import math
+from itertools import accumulate
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from ewens_stein.distances import (
     wasserstein_empirical,
     wasserstein_exact,
 )
-from ewens_stein.oracle import DiscreteLaw
+from ewens_stein.ewens import EwensParams, sample_crp_images
+from ewens_stein.oracle import DiscreteLaw, exact_statistic_law
+from ewens_stein.statistic import center
 
 
 def coin_law():
@@ -125,3 +129,106 @@ def test_distance_estimate_round_trip():
     assert js["method"] == "empirical"
     assert js["samples"] == 5000
     assert js["ci_halfwidth"] == 0.004
+
+
+# ---------------------------------------------------------------------------
+# Scalar references: the per-atom loops the array kernels replaced
+# ---------------------------------------------------------------------------
+
+
+def _antiderivative_reference(t):
+    return t * normal_cdf(t) + normal_pdf(t)
+
+
+def piecewise_l1_reference(atoms):
+    """(total, pieces, straddles) of the integral of |F - Phi|, one atom at
+    a time with a running level."""
+    pieces = [_antiderivative_reference(atoms[0][0])]
+    straddles = 0
+    cum = 0.0
+    for idx in range(len(atoms) - 1):
+        cum += atoms[idx][1]
+        c = min(max(cum, 0.0), 1.0)
+        a, b = atoms[idx][0], atoms[idx + 1][0]
+        phi_a, phi_b = normal_cdf(a), normal_cdf(b)
+        ia, ib = _antiderivative_reference(a), _antiderivative_reference(b)
+        if phi_b <= c:
+            pieces.append(c * (b - a) - (ib - ia))
+        elif phi_a >= c:
+            pieces.append((ib - ia) - c * (b - a))
+        else:
+            straddles += 1
+            z = NormalDist().inv_cdf(c)
+            iz = _antiderivative_reference(z)
+            pieces.append((c * (z - a) - (iz - ia)) + ((ib - iz) - c * (b - z)))
+    last = atoms[-1][0]
+    pieces.append(normal_pdf(last) - last * (1.0 - normal_cdf(last)))
+    return math.fsum(pieces), pieces, straddles
+
+
+def kolmogorov_reference(values, levels):
+    """max of |F(w-) - Phi(w)| and |F(w) - Phi(w)| over the atoms, where
+    levels[k] is F at values[k]."""
+    best = 0.0
+    before = 0.0
+    for w, after in zip(values, levels):
+        phi = normal_cdf(w)
+        best = max(best, abs(before - phi), abs(after - phi))
+        before = after
+    return best
+
+
+def _tie_heavy_case():
+    """Y under Ewens(1.5) for an integer matrix at n = 6: few atoms, many
+    tied samples."""
+    n = 6
+    params = EwensParams(n=n, theta=1.5)
+    raw = np.array([[(i + 1) * (j + 1) % 7 for j in range(n)] for i in range(n)], float)
+    A = center(raw, params)
+    law = exact_statistic_law(A.centered, params)
+    sigma = math.sqrt(law.variance())
+    images = sample_crp_images(params, np.random.default_rng(11), 20_000)
+    samples = A.centered[np.arange(n), images - 1].sum(axis=1) / sigma
+    return law, sigma, samples
+
+
+def _normal_case():
+    rng = np.random.default_rng(12)
+    samples = 0.1 + 1.2 * rng.standard_normal(5_000)
+    law = DiscreteLaw([(float(x), 1.0 / len(samples)) for x in samples], normalize=True)
+    return law, 1.0, samples
+
+
+def _crossing_case():
+    # a five-atom law whose step CDF crosses Phi between atoms
+    law = DiscreteLaw([(-2.0, 0.05), (-0.8, 0.35), (0.1, 0.3), (0.9, 0.2), (2.5, 0.1)])
+    rng = np.random.default_rng(13)
+    samples = rng.choice(law.values_array(), p=law.probs_array(), size=5_000)
+    return law, 1.0, samples
+
+
+@pytest.mark.parametrize("make", [_tie_heavy_case, _normal_case, _crossing_case])
+def test_array_kernels_match_scalar_references(make):
+    law, sigma, samples = make()
+    atoms = [(v / sigma, p) for v, p in law.atoms]
+    total, _, straddles = piecewise_l1_reference(atoms)
+    assert wasserstein_exact(law, 0.0, sigma) == pytest.approx(total, rel=1e-12)
+    values = [w for w, _ in atoms]
+    levels = list(accumulate(p for _, p in atoms))
+    assert kolmogorov_exact(law, 0.0, sigma) == pytest.approx(
+        kolmogorov_reference(values, levels), rel=1e-12
+    )
+    if make is _crossing_case:
+        assert straddles >= 1
+
+    w = np.sort(samples)
+    count = len(w)
+    emp_total, emp_pieces, _ = piecewise_l1_reference([(float(x), 1.0 / count) for x in w])
+    est = wasserstein_empirical(samples)
+    assert est.d1 == pytest.approx(emp_total, rel=1e-12)
+    halfwidth = 1.96 * np.std(emp_pieces) * math.sqrt(len(emp_pieces))
+    assert est.ci_halfwidth == pytest.approx(halfwidth, rel=1e-12)
+    levels = [(k + 1) / count for k in range(count)]
+    assert kolmogorov_empirical(samples).d_inf == pytest.approx(
+        kolmogorov_reference(w.tolist(), levels), rel=1e-12
+    )

@@ -12,6 +12,7 @@ from ewens_stein.oracle import (
     exact_statistic_law,
 )
 from ewens_stein.permutations import Permutation
+from ewens_stein.statistic import DegenerateError
 
 
 def test_enumerate_count_and_order():
@@ -92,6 +93,31 @@ def test_exact_statistic_law_diag_counts_fixed_points():
     assert law.values[0] == 0.0 and law.values[-1] == 6.0
 
 
+def scalar_statistic_law(A, params):
+    """The law of Y one permutation at a time: fsum of A[i, pi(i)] and the
+    Ewens pmf of each enumerated permutation."""
+    rows = A.tolist()
+    return DiscreteLaw(
+        [
+            (math.fsum(rows[i][x - 1] for i, x in enumerate(perm.image)), ewens_pmf(perm, params))
+            for perm in enumerate_permutations(params.n)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 6, 7])
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+def test_exact_statistic_law_matches_scalar_enumeration(n, theta):
+    rng = np.random.default_rng([n, int(10 * theta)])
+    raw = rng.random((n, n))
+    params = EwensParams(n=n, theta=theta)
+    for A in ((raw + raw.T) / 2.0, np.round(9.0 * (raw + raw.T))):
+        law = exact_statistic_law(A, params)
+        reference = scalar_statistic_law(A, params)
+        assert len(law) == len(reference)
+        assert law.tv_distance(reference) <= 1e-12
+
+
 def test_exact_statistic_law_shape_check():
     with pytest.raises(ValueError, match="does not match"):
         exact_statistic_law(np.ones((4, 4)), EwensParams(n=5, theta=1.0))
@@ -118,7 +144,7 @@ def test_exact_square_bias_law_mass_and_support():
 
 def test_exact_square_bias_law_degenerate():
     params = EwensParams(n=5, theta=1.0)
-    with pytest.raises(ValueError, match="degenerate square bias"):
+    with pytest.raises(DegenerateError, match="degenerate square bias"):
         exact_square_bias_law(np.ones((5, 5)), params)
     with pytest.raises(ValueError, match="capped at n <= 6"):
         exact_square_bias_law(np.zeros((7, 7)), EwensParams(n=7, theta=1.0))

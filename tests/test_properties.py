@@ -1,0 +1,75 @@
+"""Property tests over (n <= 8, theta, A) against the exact law of Y.
+
+Each example draws n, theta and a seed for a random symmetric matrix, so
+every check runs on the full enumerated law.  Examples are derandomized so
+that the suite is deterministic.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ewens_stein.bounds import alpha1, alpha2
+from ewens_stein.distances import kolmogorov_exact, wasserstein_exact
+from ewens_stein.ewens import EwensParams
+from ewens_stein.oracle import exact_statistic_law
+from ewens_stein.statistic import center, sigma_squared
+
+EXAMPLES = settings(max_examples=50, deadline=None, derandomize=True)
+
+ns = st.sampled_from([6, 7, 8])
+thetas = st.floats(min_value=0.2, max_value=5.0)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+integer_flags = st.booleans()
+
+
+def random_symmetric(n, seed, integer):
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 10, size=(n, n)).astype(float) if integer else rng.random((n, n))
+    return np.triu(raw) + np.triu(raw, 1).T
+
+
+@EXAMPLES
+@given(n=ns, theta=thetas, seed=seeds, integer=integer_flags)
+def test_sigma_squared_is_the_exact_variance(n, theta, seed, integer):
+    params = EwensParams(n=n, theta=theta)
+    A = center(random_symmetric(n, seed, integer), params)
+    law = exact_statistic_law(A.centered, params)
+    assert math.isclose(sigma_squared(A, params), law.variance(), rel_tol=1e-10)
+
+
+@EXAMPLES
+@given(n=ns, theta=thetas, seed=seeds, integer=integer_flags)
+def test_exact_distances_obey_the_bounds(n, theta, seed, integer):
+    params = EwensParams(n=n, theta=theta)
+    A = center(random_symmetric(n, seed, integer), params)
+    sigma = math.sqrt(sigma_squared(A, params))
+    law = exact_statistic_law(A.centered, params)
+    assert wasserstein_exact(law, 0.0, sigma) <= alpha1(params, A.max_abs) / sigma
+    assert kolmogorov_exact(law, 0.0, sigma) <= alpha2(params, A.max_abs) / sigma
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=ns,
+    theta=thetas,
+    seed=seeds,
+    c=st.floats(min_value=0.1, max_value=10.0),
+)
+def test_scaling_the_matrix_scales_sigma_only(n, theta, seed, c):
+    params = EwensParams(n=n, theta=theta)
+    raw = random_symmetric(n, seed, integer=False)
+    results = []
+    for matrix in (raw, c * raw):
+        A = center(matrix, params)
+        sigma = math.sqrt(sigma_squared(A, params))
+        law = exact_statistic_law(A.centered, params)
+        results.append(
+            (sigma, wasserstein_exact(law, 0.0, sigma), kolmogorov_exact(law, 0.0, sigma))
+        )
+    (sigma, d1, dinf), (sigma_c, d1_c, dinf_c) = results
+    assert math.isclose(sigma_c, c * sigma, rel_tol=1e-9)
+    assert math.isclose(d1_c, d1, rel_tol=1e-9)
+    assert math.isclose(dinf_c, dinf, rel_tol=1e-9)

@@ -13,6 +13,7 @@ from ewens_stein.oracle import (
 from ewens_stein.permutations import Permutation
 from ewens_stein.statistic import (
     CASE_LABELS,
+    DegenerateError,
     ScoreMatrix,
     _case_sums_closed,
     b_value,
@@ -290,10 +291,19 @@ def test_variance_guards():
         variance_decomposition(A, params)
     params6 = EwensParams(n=6, theta=1.0)
     flat = center(np.full((6, 6), 2.5), params6)
-    with pytest.raises(ValueError, match="degenerate variance"):
+    with pytest.raises(DegenerateError, match="degenerate variance"):
         variance_decomposition(flat, params6)
-    with pytest.raises(ValueError, match="degenerate variance"):
+    with pytest.raises(DegenerateError, match="degenerate variance"):
         sigma_squared(flat, params6)
+
+
+def test_variance_rejects_matrix_centered_under_other_theta():
+    # centered at theta = 1, E[Y] != 0 under theta = 2, so E[Y^2] != Var(Y)
+    A = random_centered(7, 1.0, 40)
+    params = EwensParams(n=7, theta=2.0)
+    for fn in (sigma_squared, variance_decomposition):
+        with pytest.raises(ValueError, match=r"centered under theta = 1\.0 but params\.theta = 2\.0"):
+            fn(A, params)
 
 
 def test_exact_remainder_properties():
