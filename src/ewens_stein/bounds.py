@@ -227,13 +227,16 @@ class BoundReport:
                 self.dinf_empirical.d_inf if self.dinf_empirical else None,
                 self.provenance.get("samples"),
                 self.provenance.get("seed"),
+                self.d1_exact,
+                self.dinf_exact,
             )
         )
 
 
+# new columns go last, so existing column positions never move
 CSV_COLUMNS = (
     "n,theta,sigma,M,kappa1,kappa2,alpha1,alpha2,"
-    "d1_upper,dinf_upper,dinf_lower,d1_emp,dinf_emp,samples,seed"
+    "d1_upper,dinf_upper,dinf_lower,d1_emp,dinf_emp,samples,seed,d1_exact,dinf_exact"
 )
 
 

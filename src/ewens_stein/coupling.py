@@ -804,7 +804,8 @@ def constructive_square_bias_law(A: ScoreMatrix, params: EwensParams):
 
     W = index_square_bias_weights(A, params)
     total = float(W.sum())
-    pairs: list[tuple[tuple[float, float], float]] = []
+    values: list[tuple[float, float]] = []
+    weights: list[float] = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -822,5 +823,6 @@ def constructive_square_bias_law(A: ScoreMatrix, params: EwensParams):
                     ddagger = dagger.conjugate_by_transposition(i, j)
                     y_d = statistic(A, dagger)
                     y_dd = statistic(A, ddagger)
-                    pairs.append(((y_d, y_dd), w / total * p_rho))
-    return DiscreteLaw(pairs, normalize=True)
+                    values.append((y_d, y_dd))
+                    weights.append(w / total * p_rho)
+    return DiscreteLaw(values, weights, normalize=True)

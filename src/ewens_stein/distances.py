@@ -92,9 +92,18 @@ class DistanceEstimate:
 
 
 def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    """Phi at every element of x, each equal to ``normal_cdf`` of it."""
-    erfc = np.fromiter(map(math.erfc, (-x / _SQRT2).tolist()), dtype=float, count=len(x))
-    return np.clip(0.5 * erfc, 0.0, 1.0)
+    """Phi at every element of x, each equal to ``normal_cdf`` of it.
+
+    x is sorted, so equal values sit in runs: erfc runs once per run and
+    the result is broadcast back through the run index.
+    """
+    starts = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    distinct = x[starts]
+    erfc = np.fromiter(
+        map(math.erfc, (-distinct / _SQRT2).tolist()), dtype=float, count=len(distinct)
+    )
+    return np.clip(0.5 * erfc, 0.0, 1.0)[np.cumsum(starts) - 1]
 
 
 def _sorted_samples(samples) -> np.ndarray:

@@ -146,7 +146,7 @@ def sample_crp(params: EwensParams, rng: np.random.Generator) -> Permutation:
 def sample_crp_images(
     params: EwensParams, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Batch CRP sampler: a (size, n) array of 1-based image rows.
+    """Batch CRP sampler: a (size, n) int32 array of 1-based image rows.
 
     Vectorized across the batch; each row has the same law as sample_crp.
     The per-step randomness (accept/insert decision, then insertion point)
@@ -154,19 +154,19 @@ def sample_crp_images(
     sample_crp with the same generator state.
     """
     n, theta = params.n, params.theta
-    img = np.tile(np.arange(1, n + 1, dtype=np.int64), (size, 1))
-    rows = np.arange(size)
+    img = np.tile(np.arange(1, n + 1, dtype=np.int32), size)
+    base = np.arange(0, size * n, n)
     for m in range(2, n + 1):
         u = rng.random(size) * (theta + m - 1)
         insert = u >= theta
         if not insert.any():
             continue
         z = rng.integers(1, m, size=size)
-        r = rows[insert]
-        zi = z[insert] - 1
-        img[r, m - 1] = img[r, zi]
-        img[r, zi] = m
-    return img
+        # rows that do not insert swap position m-1 with itself
+        src = base + np.where(insert, z - 1, m - 1)
+        img[base + (m - 1)] = img[src]
+        img[src] = m
+    return img.reshape(size, n)
 
 
 def _constraint_loops(pm: Mapping[int, int]) -> int:

@@ -2,9 +2,13 @@
 
 Everything here works by enumerating all n! permutations and weighting them
 with the Ewens pmf, so it is deliberately independent of the constructive
-samplers and case-by-case formulas it is used to check.  Hard caps keep
-enumeration affordable: n <= 8 for marginal quantities (40320 permutations),
-n <= 6 for the joint square-bias law (720 permutations x 30 index pairs).
+samplers and case-by-case formulas it is used to check.
+``exact_statistic_law`` builds S_n by insertion (label m becomes a fixed
+point or goes in just after an earlier label), which yields each
+permutation's cycle count as it goes; it calls nothing in ``statistic.py``
+and no sampler.  Hard caps keep enumeration affordable: n <= 8 for
+marginal quantities (40320 permutations), n <= 6 for the joint square-bias
+law (720 permutations x 30 index pairs).
 The one exception is ``_case_sums_direct``, which enumerates index
 configurations rather than permutations: the O(n^6) reference the closed
 case sums of the variance decomposition are checked against.
@@ -13,9 +17,8 @@ case sums of the variance decomposition are checked against.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from itertools import permutations as _itertools_permutations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -60,37 +63,37 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 class DiscreteLaw:
     """A finite law: atoms (value, probability), values sorted ascending.
 
-    Values are either floats or equal-length tuples of floats (for joint
-    laws).  Construction merges atoms whose values differ by at most
-    ATOM_MERGE_TOL in every coordinate and checks normalization.
+    ``values`` is 1-D (floats) or (m, 2) (pairs, for joint laws), with one
+    probability per row.  Construction sorts the atoms (lexicographically
+    for pairs), merges atoms whose values differ by at most ATOM_MERGE_TOL
+    in every coordinate and checks normalization.  Merging is greedy in
+    sorted order: a new atom starts at the first value more than the
+    tolerance from the current atom's first value; a merged atom's mass is
+    the correctly rounded sum of its parts.
     """
 
     __slots__ = ("_values", "_probs")
 
-    def __init__(self, atoms: Sequence[tuple], *, normalize: bool = False):
-        if not atoms:
+    def __init__(self, values, probs, *, normalize: bool = False):
+        vals = np.asarray(values, dtype=float)
+        masses = np.asarray(probs, dtype=float)
+        if len(vals) == 0:
             raise ValueError("a discrete law needs at least one atom")
-        pairs = sorted(atoms, key=lambda vp: vp[0])
-        values: list = []
-        masses: list[list[float]] = []
-        for value, prob in pairs:
-            if prob < -1e-15:
-                raise ValueError(f"negative probability {prob} at value {value}")
-            if values and _close(values[-1], value):
-                masses[-1].append(prob)
-            else:
-                values.append(value)
-                masses.append([prob])
-        probs = [math.fsum(group) for group in masses]
-        total = math.fsum(probs)
+        if vals.shape[1:] not in ((), (2,)) or masses.shape != vals.shape[:1]:
+            raise ValueError(
+                f"need 1-D or (m, 2) values and one probability per value; "
+                f"got shapes {vals.shape} and {masses.shape}"
+            )
+        vals, probs = _merge_atoms(vals, masses)
+        total = math.fsum(probs.tolist())
         if normalize:
             if total <= 0:
                 raise ValueError("total mass is zero; cannot normalize")
-            probs = [p / total for p in probs]
+            probs = probs / total
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        self._values = tuple(values)
-        self._probs = tuple(probs)
+        self._values = tuple(map(tuple, vals.tolist()) if vals.ndim == 2 else vals.tolist())
+        self._probs = tuple(probs.tolist())
 
     @property
     def atoms(self) -> tuple[tuple, ...]:
@@ -163,6 +166,63 @@ def _close(a, b) -> bool:
     return abs(a - b) <= ATOM_MERGE_TOL
 
 
+def _merge_atoms(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the atoms and merge near-ties; returns the merged (values, probs).
+
+    A run of sorted values whose consecutive gaps are all within the
+    tolerance is one atom when it spans at most the tolerance, which is what
+    the greedy rule gives; a wider run is split by the greedy rule itself.
+    Pairs sort lexicographically, so their second coordinates are in order
+    only where the first is constant: a run whose first coordinate varies
+    goes to the greedy rule whole.
+    """
+    if values.ndim == 1:
+        order = np.argsort(values, kind="stable")
+    else:
+        order = np.lexsort((values[:, 1], values[:, 0]))
+    values, probs = values[order], probs[order]
+    negative = np.flatnonzero(probs < -1e-15)
+    if len(negative):
+        k = negative[0]
+        raise ValueError(f"negative probability {probs[k]} at value {values[k].tolist()}")
+    last = values if values.ndim == 1 else values[:, 1]
+    cut = _gaps(last)
+    mixed = np.zeros(len(values), dtype=bool)
+    if values.ndim == 2:
+        lead_cut = _gaps(values[:, 0])
+        segment = np.cumsum(lead_cut) - 1
+        varies = values[:, 0] != values[lead_cut, 0][segment]
+        mixed = np.isin(segment, segment[varies])
+        cut = lead_cut | (cut & ~mixed)
+    starts = np.flatnonzero(cut)
+    ends = np.append(starts[1:], len(values))
+    wide = mixed[starts] | (last[ends - 1] - last[starts] > ATOM_MERGE_TOL)
+    if wide.any():
+        rows = list(map(tuple, values.tolist())) if values.ndim == 2 else values.tolist()
+        restarts = []
+        for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
+            first = rows[a]
+            for k in range(a + 1, b):
+                if not _close(first, rows[k]):
+                    restarts.append(k)
+                    first = rows[k]
+        starts = np.union1d(starts, restarts).astype(starts.dtype)
+    # one mass: as is; two: one correctly rounded addition; more: fsum
+    sizes = np.diff(np.append(starts, len(values)))
+    merged = probs[starts]
+    pairs = starts[sizes == 2]
+    merged[sizes == 2] = probs[pairs] + probs[pairs + 1]
+    plist = probs.tolist()
+    for k in np.flatnonzero(sizes > 2).tolist():
+        merged[k] = math.fsum(plist[starts[k] : starts[k] + sizes[k]])
+    return values[starts], merged
+
+
+def _gaps(x: np.ndarray) -> np.ndarray:
+    """True at the first element and after every gap wider than the tolerance."""
+    return np.concatenate(([True], np.diff(x) > ATOM_MERGE_TOL))
+
+
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of [n], in lexicographic image order."""
     _check_cap(n, MAX_MARGINAL_N, "enumerate_permutations")
@@ -176,31 +236,43 @@ def exact_statistic_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
     ``A`` is used exactly as given (pass the centered matrix for the
     centered statistic); this routine does its own summation rather than
     calling the statistic module, so the two paths stay independent.  S_n
-    is one (n!, n) array of 0-based images, Y one gather-sum over A, and
-    the pmf theta^{#cycles} / theta^{(n)}.
+    is one (n!, n) array of 0-based images built by insertion together
+    with each permutation's cycle count, Y one gather-sum over A, and the
+    pmf theta^{#cycles} / theta^{(n)}.
     """
     n, theta = params.n, params.theta
     _check_cap(n, MAX_MARGINAL_N, "exact_statistic_law")
     a = np.asarray(A, dtype=float)
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape} does not match n = {n}")
-    images = np.fromiter(
-        chain.from_iterable(_itertools_permutations(range(n))),
-        dtype=np.intp,
-        count=math.factorial(n) * n,
-    ).reshape(-1, n)
-    labels = np.arange(n)
-    # least label on each point's cycle, from pi^1(i), ..., pi^{n-1}(i)
-    walk = images
-    least = np.minimum(labels, walk)
-    for _ in range(n - 2):
-        walk = np.take_along_axis(images, walk, axis=1)
-        np.minimum(least, walk, out=least)
-    cycles = (least == labels).sum(axis=1)
+    images, cycles = _insertion_images(n)
     theta_powers = np.array([theta**k for k in range(n + 1)])
     probs = theta_powers[cycles] / rising_factorial(theta, n)
-    ys = a[labels, images].sum(axis=1)
-    return DiscreteLaw(list(zip(ys.tolist(), probs.tolist())))
+    ys = a[np.arange(n), images].sum(axis=1)
+    return DiscreteLaw(ys, probs)
+
+
+def _insertion_images(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All of S_n as an (n!, n) array of 0-based images, with cycle counts.
+
+    Each permutation of {0, ..., m-1} has m + 1 extensions to label m: m
+    as a fixed point (one more cycle), or m inserted just after z in z's
+    cycle, pi(m) <- pi(z) and pi(z) <- m (same cycles).  This is the
+    bijection behind the Chinese-restaurant construction.
+    """
+    images = np.zeros((1, 1), dtype=np.intp)
+    cycles = np.ones(1, dtype=np.intp)
+    for m in range(1, n):
+        count = len(images)
+        grown = np.empty((m + 1, count, m + 1), dtype=np.intp)
+        grown[:, :, :m] = images
+        grown[:, :, m] = m
+        z = np.arange(m)
+        grown[z, :, m] = images.T
+        grown[z, :, z] = m
+        images = grown.reshape(-1, m + 1)
+        cycles = np.concatenate((np.tile(cycles, m), cycles + 1))
+    return images, cycles
 
 
 def exact_expectation(
@@ -232,7 +304,7 @@ def exact_square_bias_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
         return math.fsum(rows[i][x - 1] for i, x in enumerate(img))
 
     pair_weight = 1.0 / (n * (n - 1))
-    atoms = []
+    values, weights = [], []
     for perm in enumerate_permutations(n):
         p = ewens_pmf(perm, params) * pair_weight
         y1 = y_of(perm.image)
@@ -243,12 +315,13 @@ def exact_square_bias_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
                 y2 = y_of(perm.conjugate_by_transposition(i, j).image)
                 w = p * (y1 - y2) ** 2
                 if w > 0.0:
-                    atoms.append(((y1, y2), w))
-    if not atoms:
+                    values.append((y1, y2))
+                    weights.append(w)
+    if not weights:
         raise DegenerateError(
             "degenerate square bias: (Y'-Y'')^2 has zero expectation for this matrix"
         )
-    return DiscreteLaw(atoms, normalize=True)
+    return DiscreteLaw(values, weights, normalize=True)
 
 
 def _case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:

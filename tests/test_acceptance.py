@@ -456,6 +456,8 @@ def test_criterion_12_reproducibility(tmp_path):
          "--seed", "9", "--format", "json"],
         ["experiment", "--n-grid", "6,7", "--theta-grid", "0.5,2",
          "--samples", "100000", "--seed", "4", "--format", "csv"],
+        ["experiment", "--n-grid", "7,8", "--theta-grid", "0.5,2", "--exact",
+         "--samples", "100000", "--seed", "4", "--format", "csv"],
     ]
     identical = True
     for job_idx, job in enumerate(jobs):

@@ -68,6 +68,31 @@ def test_bounds_csv_to_file(tmp_path, capsys):
     assert float(fields[11]) > 0  # empirical d1 present
 
 
+def test_bounds_csv_row_round_trips_to_json_report(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    write_int_matrix_csv(path)
+    args = ["bounds", "--n", "6", "--matrix", str(path), "--exact",
+            "--samples", "2000", "--seed", "3"]
+    assert main([*args, "--format", "csv", "--out", str(tmp_path / "row.csv")]) == 0
+    assert main([*args, "--format", "json", "--out", str(tmp_path / "report.json")]) == 0
+    header, row = (tmp_path / "row.csv").read_text().strip().split("\n")
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert list(fields) == CSV_COLUMNS.split(",")
+    report = json.loads((tmp_path / "report.json").read_text())
+    expected = {
+        "d1_emp": report["d1_empirical"]["d1"],
+        "dinf_emp": report["dinf_empirical"]["d_inf"],
+        "samples": report["provenance"]["samples"],
+        "seed": report["provenance"]["seed"],
+    }
+    for column, text in fields.items():
+        value = expected[column] if column in expected else report[column]
+        assert value is not None, column
+        assert text == repr(value), column
+        assert type(value)(text) == value, column
+    assert report["d1_exact"] > 0 and report["dinf_exact"] > 0
+
+
 def test_bounds_matrix_csv_file(tmp_path, capsys):
     path = tmp_path / "m.csv"
     write_int_matrix_csv(path)

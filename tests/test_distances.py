@@ -5,6 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from ewens_stein import distances
 from ewens_stein.distances import (
     MIN_EMPIRICAL_SAMPLES,
     DistanceEstimate,
@@ -21,7 +22,7 @@ from ewens_stein.statistic import center
 
 
 def coin_law():
-    return DiscreteLaw([(-1.0, 0.5), (1.0, 0.5)])
+    return DiscreteLaw([-1.0, 1.0], [0.5, 0.5])
 
 
 def test_normal_cdf_values():
@@ -54,7 +55,7 @@ def test_wasserstein_exact_coin():
 
 
 def test_point_mass_distances():
-    law = DiscreteLaw([(0.0, 1.0)])
+    law = DiscreteLaw([0.0], [1.0])
     assert kolmogorov_exact(law, 0.0, 1.0) == pytest.approx(0.5)
     assert wasserstein_exact(law, 0.0, 1.0) == pytest.approx(
         math.sqrt(2.0 / math.pi), rel=1e-12
@@ -62,8 +63,8 @@ def test_point_mass_distances():
 
 
 def test_exact_distances_are_scale_invariant():
-    law = DiscreteLaw([(-2.0, 0.25), (0.0, 0.5), (2.0, 0.25)])
-    scaled = DiscreteLaw([(-6.0, 0.25), (0.0, 0.5), (6.0, 0.25)])
+    law = DiscreteLaw([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25])
+    scaled = DiscreteLaw([-6.0, 0.0, 6.0], [0.25, 0.5, 0.25])
     assert kolmogorov_exact(law, 0.0, 1.0) == pytest.approx(
         kolmogorov_exact(scaled, 0.0, 3.0), rel=1e-12
     )
@@ -195,13 +196,13 @@ def _tie_heavy_case():
 def _normal_case():
     rng = np.random.default_rng(12)
     samples = 0.1 + 1.2 * rng.standard_normal(5_000)
-    law = DiscreteLaw([(float(x), 1.0 / len(samples)) for x in samples], normalize=True)
+    law = DiscreteLaw(samples, np.full(len(samples), 1.0 / len(samples)), normalize=True)
     return law, 1.0, samples
 
 
 def _crossing_case():
     # a five-atom law whose step CDF crosses Phi between atoms
-    law = DiscreteLaw([(-2.0, 0.05), (-0.8, 0.35), (0.1, 0.3), (0.9, 0.2), (2.5, 0.1)])
+    law = DiscreteLaw([-2.0, -0.8, 0.1, 0.9, 2.5], [0.05, 0.35, 0.3, 0.2, 0.1])
     rng = np.random.default_rng(13)
     samples = rng.choice(law.values_array(), p=law.probs_array(), size=5_000)
     return law, 1.0, samples
@@ -232,3 +233,24 @@ def test_array_kernels_match_scalar_references(make):
     assert kolmogorov_empirical(samples).d_inf == pytest.approx(
         kolmogorov_reference(w.tolist(), levels), rel=1e-12
     )
+
+
+def normal_cdf_per_element(x):
+    """Phi with one erfc call per element, duplicates included."""
+    return np.array([normal_cdf(v) for v in x.tolist()])
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.5])
+def test_empirical_distances_equal_per_element_phi(monkeypatch, theta):
+    n = 6
+    params = EwensParams(n=n, theta=theta)
+    raw = np.array([[(i + 1) * (j + 1) % 7 for j in range(n)] for i in range(n)], float)
+    A = center(raw, params)
+    images = sample_crp_images(params, np.random.default_rng([12, n]), 20_000)
+    samples = A.centered[np.arange(n), images - 1].sum(axis=1) / 1.7
+    assert len(np.unique(samples)) < 200
+    d1 = wasserstein_empirical(samples)
+    d_inf = kolmogorov_empirical(samples)
+    monkeypatch.setattr(distances, "_normal_cdf_array", normal_cdf_per_element)
+    assert wasserstein_empirical(samples) == d1
+    assert kolmogorov_empirical(samples) == d_inf

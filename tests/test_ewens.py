@@ -134,6 +134,41 @@ def test_crp_images_shape_and_validity():
         assert sorted(row.tolist()) == list(range(1, 8))
 
 
+def masked_crp_images(params, rng, size):
+    """The batch CRP step on a (size, n) int64 array, indexing only the rows
+    that insert."""
+    n, theta = params.n, params.theta
+    img = np.tile(np.arange(1, n + 1, dtype=np.int64), (size, 1))
+    rows = np.arange(size)
+    for m in range(2, n + 1):
+        u = rng.random(size) * (theta + m - 1)
+        insert = u >= theta
+        if not insert.any():
+            continue
+        z = rng.integers(1, m, size=size)
+        r = rows[insert]
+        zi = z[insert] - 1
+        img[r, m - 1] = img[r, zi]
+        img[r, zi] = m
+    return img
+
+
+@pytest.mark.parametrize(
+    "n, theta, size",
+    [(n, theta, size) for n in (1, 2, 8, 50) for theta in (0.3, 2.0) for size in (1, 7, 1000)]
+    + [(2, 1e6, 1)],  # theta = 1e6: no row inserts, so no insertion point is drawn
+)
+def test_crp_images_match_masked_reference(n, theta, size):
+    params = EwensParams(n=n, theta=theta)
+    r1 = np.random.default_rng([n, size, 3])
+    r2 = np.random.default_rng([n, size, 3])
+    got = sample_crp_images(params, r1, size)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, masked_crp_images(params, r2, size))
+    # the same draws were consumed
+    assert r1.random() == r2.random()
+
+
 def test_constrained_prob_frozen():
     params = EwensParams(n=5, theta=2.0)
     # 1 -> 2 -> 1 closes a loop: theta / (theta+4)_(2)

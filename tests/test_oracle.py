@@ -1,10 +1,12 @@
 import math
+from itertools import chain, permutations
 
 import numpy as np
 import pytest
 
-from ewens_stein.ewens import EwensParams, c1_moments, ewens_pmf
+from ewens_stein.ewens import EwensParams, c1_moments, ewens_pmf, rising_factorial
 from ewens_stein.oracle import (
+    ATOM_MERGE_TOL,
     DiscreteLaw,
     enumerate_permutations,
     exact_expectation,
@@ -27,7 +29,7 @@ def test_enumerate_count_and_order():
 
 
 def test_discrete_law_basic():
-    law = DiscreteLaw([(1.0, 0.25), (-1.0, 0.5), (1.0, 0.25)])
+    law = DiscreteLaw([1.0, -1.0, 1.0], [0.25, 0.5, 0.25])
     assert law.values == (-1.0, 1.0)
     assert law.probs == (0.5, 0.5)
     assert len(law) == 2
@@ -40,36 +42,110 @@ def test_discrete_law_basic():
 
 def test_discrete_law_merges_near_ties():
     eps = 1e-14
-    law = DiscreteLaw([(2.0, 0.5), (2.0 + eps, 0.25), (3.0, 0.25)])
+    law = DiscreteLaw([2.0, 2.0 + eps, 3.0], [0.5, 0.25, 0.25])
     assert len(law) == 2
     assert law.probs == (0.75, 0.25)
 
 
+def greedy_merge_reference(values, probs, normalize=False):
+    """Atoms merged one at a time in sorted order: a new atom starts when a
+    value is more than the tolerance (in any coordinate) from the current
+    atom's first value; each atom's mass is the fsum of its parts."""
+    def close(a, b):
+        if isinstance(a, tuple):
+            return all(abs(x - y) <= ATOM_MERGE_TOL for x, y in zip(a, b))
+        return abs(a - b) <= ATOM_MERGE_TOL
+
+    merged_values, groups = [], []
+    for value, prob in sorted(zip(values, probs), key=lambda vp: vp[0]):
+        if merged_values and close(merged_values[-1], value):
+            groups[-1].append(prob)
+        else:
+            merged_values.append(value)
+            groups.append([prob])
+    merged_probs = [math.fsum(group) for group in groups]
+    if normalize:
+        total = math.fsum(merged_probs)
+        merged_probs = [p / total for p in merged_probs]
+    return tuple(merged_values), tuple(merged_probs)
+
+
+def assert_same_atoms_as_greedy(values, probs, normalize=False):
+    law = DiscreteLaw(values, probs, normalize=normalize)
+    ref_values, ref_probs = greedy_merge_reference(values, probs, normalize)
+    assert law.values == ref_values
+    assert law.probs == ref_probs
+    return law
+
+
+def test_discrete_law_tie_run_wider_than_tolerance_is_split_greedily():
+    # consecutive gaps are within the tolerance but the run spans 1.8e-12:
+    # the greedy rule restarts at 1.2e-12
+    values = [1.8e-12, 0.0, 1.2e-12, 0.6e-12, 5.0]
+    probs = [0.1, 0.2, 0.3, 0.15, 0.25]
+    law = assert_same_atoms_as_greedy(values, probs)
+    assert law.values == (0.0, 1.2e-12, 5.0)
+    assert law.probs == (0.2 + 0.15, 0.3 + 0.1, 0.25)
+    # the same run in either coordinate of a pair
+    law = assert_same_atoms_as_greedy([(1.0, v) for v in values[:4]], probs[:4], True)
+    assert len(law) == 2
+    law = assert_same_atoms_as_greedy([(v, -1.0) for v in values[:4]], probs[:4], True)
+    assert len(law) == 2
+
+
+def test_discrete_law_pair_runs_whose_first_coordinate_varies():
+    # (0.5e-12, -0.5e-12) is 1.5e-12 from its sorted predecessor but within
+    # the tolerance of the atom's first value (0, 0), so the greedy rule
+    # merges it
+    values = [(0.0, 0.0), (0.0, 1e-12), (0.5e-12, -0.5e-12), (0.5e-12, 0.9e-12)]
+    law = assert_same_atoms_as_greedy(values, [0.25] * 4)
+    assert law.values == ((0.0, 0.0),)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_discrete_law_matches_greedy_merge_on_jittered_ties(seed):
+    rng = np.random.default_rng([seed, 7])
+    count = 400
+    centers = rng.integers(0, 5, size=(count, 2)).astype(float)
+    jitter = 0.35e-12 * rng.integers(-4, 5, size=(count, 2))
+    points = centers + jitter * (rng.random((count, 2)) < 0.6)
+    probs = rng.random(count).tolist()
+    assert_same_atoms_as_greedy(points[:, 0].tolist(), probs, normalize=True)
+    assert_same_atoms_as_greedy(list(map(tuple, points.tolist())), probs, normalize=True)
+    # pairs whose first coordinate is tied exactly, runs in the second
+    points[:, 0] = centers[:, 0]
+    assert_same_atoms_as_greedy(list(map(tuple, points.tolist())), probs, normalize=True)
+
+
 def test_discrete_law_validation():
     with pytest.raises(ValueError, match="at least one atom"):
-        DiscreteLaw([])
+        DiscreteLaw([], [])
     with pytest.raises(ValueError, match="negative probability"):
-        DiscreteLaw([(0.0, -0.1), (1.0, 1.1)])
+        DiscreteLaw([0.0, 1.0], [-0.1, 1.1])
     with pytest.raises(ValueError, match="sum to"):
-        DiscreteLaw([(0.0, 0.4), (1.0, 0.4)])
+        DiscreteLaw([0.0, 1.0], [0.4, 0.4])
+    with pytest.raises(ValueError, match="one probability per value"):
+        DiscreteLaw([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match=r"\(m, 2\) values"):
+        DiscreteLaw([(0.0, 1.0, 2.0)], [1.0])
     # normalize rescales instead of raising
-    law = DiscreteLaw([(0.0, 0.4), (1.0, 0.4)], normalize=True)
+    law = DiscreteLaw([0.0, 1.0], [0.4, 0.4], normalize=True)
     assert law.probs == (0.5, 0.5)
     with pytest.raises(ValueError, match="cannot normalize"):
-        DiscreteLaw([(0.0, 0.0)], normalize=True)
+        DiscreteLaw([0.0], [0.0], normalize=True)
 
 
 def test_discrete_law_tuple_atoms():
-    law = DiscreteLaw([((0.0, 1.0), 0.5), ((1.0, 0.0), 0.5)])
+    law = DiscreteLaw([(0.0, 1.0), (1.0, 0.0)], [0.5, 0.5])
     assert law.expectation(lambda v: v[0] + v[1]) == pytest.approx(1.0)
     js = law.to_json()
     assert js[0] == {"value": [0.0, 1.0], "prob": 0.5}
 
 
 def test_tv_distance():
-    a = DiscreteLaw([(0.0, 0.5), (1.0, 0.5)])
-    b = DiscreteLaw([(0.0, 0.25), (1.0, 0.75)])
-    c = DiscreteLaw([(2.0, 1.0)])
+    a = DiscreteLaw([0.0, 1.0], [0.5, 0.5])
+    b = DiscreteLaw([0.0, 1.0], [0.25, 0.75])
+    c = DiscreteLaw([2.0], [1.0])
     assert a.tv_distance(a) == 0.0
     assert a.tv_distance(b) == pytest.approx(0.25)
     assert a.tv_distance(c) == pytest.approx(1.0)
@@ -97,11 +173,10 @@ def scalar_statistic_law(A, params):
     """The law of Y one permutation at a time: fsum of A[i, pi(i)] and the
     Ewens pmf of each enumerated permutation."""
     rows = A.tolist()
+    perms = list(enumerate_permutations(params.n))
     return DiscreteLaw(
-        [
-            (math.fsum(rows[i][x - 1] for i, x in enumerate(perm.image)), ewens_pmf(perm, params))
-            for perm in enumerate_permutations(params.n)
-        ]
+        [math.fsum(rows[i][x - 1] for i, x in enumerate(perm.image)) for perm in perms],
+        [ewens_pmf(perm, params) for perm in perms],
     )
 
 
@@ -116,6 +191,42 @@ def test_exact_statistic_law_matches_scalar_enumeration(n, theta):
         reference = scalar_statistic_law(A, params)
         assert len(law) == len(reference)
         assert law.tv_distance(reference) <= 1e-12
+
+
+def enumerated_statistic_law(A, params):
+    """The law of Y from S_n in lexicographic order, cycle counts by a
+    least-label walk, and greedily merged atoms."""
+    n, theta = params.n, params.theta
+    a = np.asarray(A, dtype=float)
+    images = np.fromiter(
+        chain.from_iterable(permutations(range(n))),
+        dtype=np.intp,
+        count=math.factorial(n) * n,
+    ).reshape(-1, n)
+    labels = np.arange(n)
+    walk = images
+    least = np.minimum(labels, walk)
+    for _ in range(n - 2):
+        walk = np.take_along_axis(images, walk, axis=1)
+        np.minimum(least, walk, out=least)
+    cycles = (least == labels).sum(axis=1)
+    theta_powers = np.array([theta**k for k in range(n + 1)])
+    probs = theta_powers[cycles] / rising_factorial(theta, n)
+    ys = a[labels, images].sum(axis=1)
+    return greedy_merge_reference(ys.tolist(), probs.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 8])
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+def test_exact_statistic_law_is_bit_identical_to_enumeration(n, theta):
+    rng = np.random.default_rng([n, int(10 * theta), 1])
+    raw = rng.random((n, n))
+    params = EwensParams(n=n, theta=theta)
+    for A in ((raw + raw.T) / 2.0, np.round(9.0 * (raw + raw.T))):
+        law = exact_statistic_law(A, params)
+        values, probs = enumerated_statistic_law(A, params)
+        assert law.values == values
+        assert law.probs == probs
 
 
 def test_exact_statistic_law_shape_check():
