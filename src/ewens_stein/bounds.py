@@ -270,7 +270,7 @@ def bound_report(
 
     d1_exact = dinf_exact = None
     if exact:
-        from .distances import kolmogorov_exact, wasserstein_exact
+        from .distances import exact_distances
         from .oracle import exact_statistic_law
 
         if params.n > MAX_MARGINAL_N:
@@ -279,16 +279,11 @@ def bound_report(
                 f"got n = {params.n}"
             )
         law = exact_statistic_law(score.centered, params)
-        d1_exact = wasserstein_exact(law, 0.0, sigma)
-        dinf_exact = kolmogorov_exact(law, 0.0, sigma)
+        d1_exact, dinf_exact = exact_distances(law, 0.0, sigma)
 
     d1_emp = dinf_emp = None
     if samples:
-        from .distances import (
-            MIN_EMPIRICAL_SAMPLES,
-            kolmogorov_empirical,
-            wasserstein_empirical,
-        )
+        from .distances import MIN_EMPIRICAL_SAMPLES, empirical_distances
 
         if samples < MIN_EMPIRICAL_SAMPLES:
             raise ValueError(
@@ -298,9 +293,7 @@ def bound_report(
         draws = montecarlo.sample_statistic_batch(
             score, params, samples, np.random.SeedSequence([int(0 if seed is None else seed), 2])
         )
-        w = draws / sigma
-        d1_emp = wasserstein_empirical(w)
-        dinf_emp = kolmogorov_empirical(w)
+        d1_emp, dinf_emp = empirical_distances(draws / sigma)
 
     provenance = {
         "seed": seed,

@@ -684,7 +684,8 @@ def sample_zero_bias_batch(
     n = params.n
     centered = A.centered
     rows_c = A.row_lists()
-    images = sample_crp_images(params, rng, count)
+    # C order keeps the row sums of Y' and the per-row loop below as they were
+    images = np.ascontiguousarray(sample_crp_images(params, rng, count))
     inverses = np.empty_like(images)
     cols = np.arange(1, n + 1)
     rowidx = np.arange(count)[:, None]

@@ -19,6 +19,8 @@ __all__ = [
     "DistanceEstimate",
     "normal_cdf",
     "normal_pdf",
+    "exact_distances",
+    "empirical_distances",
     "kolmogorov_exact",
     "kolmogorov_empirical",
     "wasserstein_exact",
@@ -92,26 +94,22 @@ class DistanceEstimate:
 
 
 def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    """Phi at every element of x, each equal to ``normal_cdf`` of it.
-
-    x is sorted, so equal values sit in runs: erfc runs once per run and
-    the result is broadcast back through the run index.
-    """
-    starts = np.ones(len(x), dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=starts[1:])
-    distinct = x[starts]
-    erfc = np.fromiter(
-        map(math.erfc, (-distinct / _SQRT2).tolist()), dtype=float, count=len(distinct)
-    )
-    return np.clip(0.5 * erfc, 0.0, 1.0)[np.cumsum(starts) - 1]
+    """Phi at every element of x, each equal to ``normal_cdf`` of it."""
+    erfc = np.fromiter(map(math.erfc, (-x / _SQRT2).tolist()), dtype=float, count=len(x))
+    return np.clip(0.5 * erfc, 0.0, 1.0)
 
 
 def _sorted_samples(samples) -> np.ndarray:
-    w = np.sort(np.asarray(samples, dtype=float))
+    raw = np.asarray(samples, dtype=float)
+    w = np.sort(raw)
     if len(w) < MIN_EMPIRICAL_SAMPLES:
         raise ValueError(
             f"empirical distances need at least {MIN_EMPIRICAL_SAMPLES} samples; got {len(w)}"
         )
+    # sorting puts -inf first and +inf and NaN last
+    if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+        k = int(np.flatnonzero(~np.isfinite(raw))[0])
+        raise ValueError(f"empirical distances need finite samples; sample {k} is {raw[k]}")
     return w
 
 
@@ -125,53 +123,23 @@ def _standardized_atoms(law, mean: float, sigma: float) -> tuple[np.ndarray, np.
     return (law.values_array() - mean) / sigma, law.probs_array()
 
 
-def _sup_gap(x: np.ndarray, levels: np.ndarray) -> float:
+def _sup_gap(phi: np.ndarray, levels: np.ndarray) -> float:
     """max over atoms of |F(w-) - Phi(w)| and |F(w) - Phi(w)|, where
-    ``levels`` holds F(w) at each sorted atom w of x."""
-    phis = _normal_cdf_array(x)
+    ``levels`` holds F(w) and ``phi`` holds Phi(w) at each sorted atom w."""
     before = np.concatenate(([0.0], levels[:-1]))
-    return float(np.max(np.maximum(np.abs(before - phis), np.abs(levels - phis))))
+    return float(np.max(np.maximum(np.abs(before - phi), np.abs(levels - phi))))
 
 
-def kolmogorov_exact(law, mean: float, sigma: float) -> float:
-    """sup_t |P(W < t) - Phi(t)| for the standardized discrete law.
-
-    The supremum over t is attained at an atom from one side or the other,
-    so both F(w-) and F(w) are compared against Phi(w) at every atom.
-    """
-    x, probs = _standardized_atoms(law, mean, sigma)
-    return _sup_gap(x, np.cumsum(probs))
-
-
-def kolmogorov_empirical(samples) -> DistanceEstimate:
-    """Empirical Kolmogorov distance of standardized samples to N(0,1).
-
-    The 95% confidence halfwidth comes from the DKW inequality.
-    """
-    w = _sorted_samples(samples)
-    count = len(w)
-    d_inf = _sup_gap(w, np.arange(1, count + 1) / count)
-    halfwidth = math.sqrt(math.log(2.0 / 0.05) / (2.0 * count))
-    return DistanceEstimate(
-        d1=None,
-        d_inf=min(d_inf, 1.0),
-        method="empirical",
-        samples=count,
-        ci_halfwidth=halfwidth,
-    )
-
-
-def _piecewise_l1(x: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Per-piece integrals of |F - Phi| for the step CDF with the given
-    masses at the sorted atoms x, tails included.
+def _piecewise_l1(x: np.ndarray, phi: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Per-piece integrals of |F - Phi| for a step CDF at the sorted atoms
+    x, tails included; Phi(x) is ``phi`` and F on (x[k], x[k+1]) is
+    ``level[k]``.
 
     Each piece is closed-form in Phi's antiderivative I; a piece where F
     crosses Phi splits at Phi^{-1}(c).  The total is the fsum of the pieces.
     """
-    phi = _normal_cdf_array(x)
     anti = x * phi + _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    # F on (x[k], x[k+1]) is the running mass through atom k
-    level = np.clip(np.cumsum(masses[:-1]), 0.0, 1.0)
+    level = np.clip(level, 0.0, 1.0)
     a, b = x[:-1], x[1:]
     phi_a, phi_b = phi[:-1], phi[1:]
     ia, ib = anti[:-1], anti[1:]
@@ -187,26 +155,72 @@ def _piecewise_l1(x: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return np.concatenate(([left], inner, [right]))
 
 
-def wasserstein_exact(law, mean: float, sigma: float) -> float:
-    """integral over t of |F_W(t) - Phi(t)| for the standardized law."""
-    return math.fsum(_piecewise_l1(*_standardized_atoms(law, mean, sigma)).tolist())
+def exact_distances(law, mean: float, sigma: float) -> tuple[float, float]:
+    """(d1, d_inf) of the standardized discrete law to N(0,1), from one Phi
+    pass over its atoms.
+
+    d1 integrates |F_W(t) - Phi(t)| over t.  d_inf = sup_t |P(W < t) -
+    Phi(t)| is attained at an atom from one side or the other, so both
+    F(w-) and F(w) are compared against Phi(w) at every atom.
+    """
+    x, probs = _standardized_atoms(law, mean, sigma)
+    phi = _normal_cdf_array(x)
+    levels = np.cumsum(probs)
+    return math.fsum(_piecewise_l1(x, phi, levels[:-1]).tolist()), _sup_gap(phi, levels)
 
 
-def wasserstein_empirical(samples) -> DistanceEstimate:
-    """Empirical L1 distance of standardized samples to N(0,1).
+def empirical_distances(samples) -> tuple[DistanceEstimate, DistanceEstimate]:
+    """Empirical (d1, d_inf) estimates of standardized samples to N(0,1).
 
-    The empirical CDF (mass 1/N per sorted sample) goes through the exact
-    piecewise integral; the reported halfwidth is a heuristic from the
-    per-piece contribution variance, not a rigorous confidence bound.
+    The empirical CDF (mass 1/N per sample) is collapsed to the sample's
+    distinct values, with one Phi pass over them.  d1 goes through the
+    exact piecewise integral; its halfwidth is a heuristic from the
+    variance of the N + 1 per-sample pieces (ties give pieces of width 0),
+    not a rigorous confidence bound.  d_inf's 95% confidence halfwidth
+    comes from the DKW inequality.
     """
     w = _sorted_samples(samples)
     count = len(w)
-    pieces = _piecewise_l1(w, np.full(count, 1.0 / count))
-    halfwidth = float(1.96 * pieces.std() * math.sqrt(len(pieces)))
-    return DistanceEstimate(
-        d1=math.fsum(pieces.tolist()),
+    ends = np.flatnonzero(np.append(w[1:] != w[:-1], True))
+    x = w[ends]
+    phi = _normal_cdf_array(x)
+    running = np.cumsum(np.full(count, 1.0 / count))[ends]
+    distinct = _piecewise_l1(x, phi, running[:-1])
+    pieces = np.zeros(count + 1)
+    pieces[0], pieces[-1] = distinct[0], distinct[-1]
+    pieces[1 + ends[:-1]] = distinct[1:-1]
+    d1 = DistanceEstimate(
+        d1=math.fsum(distinct.tolist()),
         d_inf=None,
         method="empirical",
         samples=count,
-        ci_halfwidth=halfwidth,
+        ci_halfwidth=float(1.96 * pieces.std() * math.sqrt(count + 1)),
     )
+    d_inf = DistanceEstimate(
+        d1=None,
+        d_inf=min(_sup_gap(phi, (ends + 1) / count), 1.0),
+        method="empirical",
+        samples=count,
+        ci_halfwidth=math.sqrt(math.log(2.0 / 0.05) / (2.0 * count)),
+    )
+    return d1, d_inf
+
+
+def wasserstein_exact(law, mean: float, sigma: float) -> float:
+    """integral over t of |F_W(t) - Phi(t)| for the standardized law."""
+    return exact_distances(law, mean, sigma)[0]
+
+
+def kolmogorov_exact(law, mean: float, sigma: float) -> float:
+    """sup_t |P(W < t) - Phi(t)| for the standardized discrete law."""
+    return exact_distances(law, mean, sigma)[1]
+
+
+def wasserstein_empirical(samples) -> DistanceEstimate:
+    """Empirical L1 distance of standardized samples to N(0,1)."""
+    return empirical_distances(samples)[0]
+
+
+def kolmogorov_empirical(samples) -> DistanceEstimate:
+    """Empirical Kolmogorov distance of standardized samples to N(0,1)."""
+    return empirical_distances(samples)[1]

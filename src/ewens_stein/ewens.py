@@ -151,22 +151,28 @@ def sample_crp_images(
     Vectorized across the batch; each row has the same law as sample_crp.
     The per-step randomness (accept/insert decision, then insertion point)
     matches the sequential sampler draw-for-draw so that size=1 reproduces
-    sample_crp with the same generator state.
+    sample_crp with the same generator state.  The images are built as an
+    (n, size) C-ordered column block, row i-1 holding pi(i) for every
+    sample, and returned as its transpose: a Fortran-ordered view whose
+    ``.T`` gives the block back without a copy.
     """
     n, theta = params.n, params.theta
-    img = np.tile(np.arange(1, n + 1, dtype=np.int32), size)
-    base = np.arange(0, size * n, n)
+    block = np.empty((n, size), dtype=np.int32)
+    block[0] = 1
+    flat = block.reshape(-1)
+    samples = np.arange(size)
     for m in range(2, n + 1):
+        block[m - 1] = m
         u = rng.random(size) * (theta + m - 1)
         insert = u >= theta
         if not insert.any():
             continue
         z = rng.integers(1, m, size=size)
-        # rows that do not insert swap position m-1 with itself
-        src = base + np.where(insert, z - 1, m - 1)
-        img[base + (m - 1)] = img[src]
-        img[src] = m
-    return img.reshape(size, n)
+        # samples that do not insert swap row m-1 with itself
+        src = np.where(insert, z - 1, m - 1) * size + samples
+        block[m - 1] = flat[src]
+        flat[src] = m
+    return block.T
 
 
 def _constraint_loops(pm: Mapping[int, int]) -> int:

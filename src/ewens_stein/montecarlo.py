@@ -63,15 +63,25 @@ def map_chunks(
 
 
 def sample_statistic_batch(A, params, total: int, seed) -> np.ndarray:
-    """total draws of Y = sum_i a_hat[i, pi(i)] under CRP sampling."""
+    """total draws of Y = sum_i a_hat[i, pi(i)] under CRP sampling.
+
+    Y is summed in index order i = 1..n from the CRP column block.  Chunks
+    hold at most 2**22 image entries, so memory stays bounded as n grows;
+    the chunk size depends on n alone, and the output on (n, total, seed).
+    """
     from .ewens import sample_crp_images
 
-    centered = A.centered
-    rows = np.arange(params.n)
+    n = params.n
+    # column 0 pads each row so that 1-based images index it directly
+    padded = np.zeros((n, n + 1))
+    padded[:, 1:] = A.centered
 
     def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
-        images = sample_crp_images(params, rng, count)
-        return centered[rows[None, :], images - 1].sum(axis=1)
+        block = sample_crp_images(params, rng, count).T
+        y = padded[0][block[0]]
+        for i in range(1, n):
+            y += padded[i][block[i]]
+        return y
 
-    parts = map_chunks(total, chunk, seed)
+    parts = map_chunks(total, chunk, seed, chunk_size=min(DEFAULT_CHUNK, 2**22 // n))
     return np.concatenate(parts) if parts else np.empty(0)

@@ -69,7 +69,8 @@ class DiscreteLaw:
     in every coordinate and checks normalization.  Merging is greedy in
     sorted order: a new atom starts at the first value more than the
     tolerance from the current atom's first value; a merged atom's mass is
-    the correctly rounded sum of its parts.
+    the correctly rounded sum of its parts.  The merged values and masses
+    are kept as read-only arrays; the tuple views are built on request.
     """
 
     __slots__ = ("_values", "_probs")
@@ -92,48 +93,51 @@ class DiscreteLaw:
             probs = probs / total
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        self._values = tuple(map(tuple, vals.tolist()) if vals.ndim == 2 else vals.tolist())
-        self._probs = tuple(probs.tolist())
+        vals.flags.writeable = probs.flags.writeable = False
+        self._values, self._probs = vals, probs
 
     @property
     def atoms(self) -> tuple[tuple, ...]:
-        return tuple(zip(self._values, self._probs))
+        return tuple(zip(self.values, self.probs))
 
     @property
     def values(self) -> tuple:
-        return self._values
+        vals = self._values.tolist()
+        return tuple(map(tuple, vals) if self._values.ndim == 2 else vals)
 
     @property
     def probs(self) -> tuple[float, ...]:
-        return self._probs
+        return tuple(self._probs.tolist())
 
     def __len__(self) -> int:
         return len(self._values)
 
     def total_mass(self) -> float:
-        return math.fsum(self._probs)
+        return math.fsum(self._probs.tolist())
 
     def expectation(self, f: Callable | None = None) -> float:
         if f is None:
-            return math.fsum(v * p for v, p in zip(self._values, self._probs))
-        return math.fsum(f(v) * p for v, p in zip(self._values, self._probs))
+            return math.fsum(v * p for v, p in self.atoms)
+        return math.fsum(f(v) * p for v, p in self.atoms)
 
     def mean(self) -> float:
         return self.expectation()
 
     def variance(self) -> float:
         mu = self.mean()
-        return math.fsum((v - mu) ** 2 * p for v, p in zip(self._values, self._probs))
+        return math.fsum((v - mu) ** 2 * p for v, p in self.atoms)
 
     def values_array(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
+        """The merged values, as a read-only float array."""
+        return self._values
 
     def probs_array(self) -> np.ndarray:
-        return np.asarray(self._probs, dtype=float)
+        """The merged probabilities, as a read-only float array."""
+        return self._probs
 
     def to_json(self) -> list[dict]:
         out = []
-        for v, p in zip(self._values, self._probs):
+        for v, p in self.atoms:
             jv = list(v) if isinstance(v, tuple) else v
             out.append({"value": jv, "prob": p})
         return out
@@ -142,8 +146,8 @@ class DiscreteLaw:
         """Total variation distance, matching atoms by merge tolerance."""
         i = j = 0
         acc = []
-        sv, sp = self._values, self._probs
-        ov, op = other._values, other._probs
+        sv, sp = self.values, self.probs
+        ov, op = other.values, other.probs
         while i < len(sv) and j < len(ov):
             if _close(sv[i], ov[j]):
                 acc.append(abs(sp[i] - op[j]))

@@ -254,3 +254,74 @@ def test_empirical_distances_equal_per_element_phi(monkeypatch, theta):
     monkeypatch.setattr(distances, "_normal_cdf_array", normal_cdf_per_element)
     assert wasserstein_empirical(samples) == d1
     assert kolmogorov_empirical(samples) == d_inf
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reference: the empirical distances before ties were collapsed
+# ---------------------------------------------------------------------------
+
+
+def per_sample_empirical_reference(samples):
+    """(d1, d1 halfwidth, d_inf) with one piece and one level per sample,
+    as computed before the sample was collapsed to its distinct values."""
+    w = np.sort(np.asarray(samples, dtype=float))
+    count = len(w)
+    phi = normal_cdf_per_element(w)
+    # d_inf at every sample, levels k/N
+    levels = np.arange(1, count + 1) / count
+    before = np.concatenate(([0.0], levels[:-1]))
+    d_inf = float(np.max(np.maximum(np.abs(before - phi), np.abs(levels - phi))))
+    # one W1 piece per gap between consecutive samples, masses 1/N
+    anti = w * phi + (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * w * w)
+    level = np.clip(np.cumsum(np.full(count, 1.0 / count)[:-1]), 0.0, 1.0)
+    a, b = w[:-1], w[1:]
+    ia, ib = anti[:-1], anti[1:]
+    below = level * (b - a) - (ib - ia)
+    inner = np.where(phi[1:] <= level, below, -below)
+    for k in np.flatnonzero((phi[:-1] < level) & (phi[1:] > level)):
+        c = level[k]
+        z = NormalDist().inv_cdf(c)
+        iz = _antiderivative_reference(z)
+        inner[k] = (c * (z - a[k]) - (iz - ia[k])) + ((ib[k] - iz) - c * (b[k] - z))
+    left = _antiderivative_reference(w[0])
+    right = normal_pdf(w[-1]) - w[-1] * (1.0 - normal_cdf(w[-1]))
+    pieces = np.concatenate(([left], inner, [right]))
+    halfwidth = float(1.96 * pieces.std() * math.sqrt(len(pieces)))
+    return math.fsum(pieces.tolist()), halfwidth, min(d_inf, 1.0)
+
+
+def _single_value_case():
+    return None, 1.0, np.full(3_000, 0.4)
+
+
+@pytest.mark.parametrize(
+    "make", [_tie_heavy_case, _normal_case, _crossing_case, _single_value_case]
+)
+def test_collapsed_empirical_distances_equal_per_sample_reference(make):
+    samples = make()[2]
+    d1, halfwidth, d_inf = per_sample_empirical_reference(samples)
+    w1_est, dinf_est = distances.empirical_distances(samples)
+    assert (w1_est.d1, w1_est.ci_halfwidth, dinf_est.d_inf) == (d1, halfwidth, d_inf)
+    assert wasserstein_empirical(samples) == w1_est
+    assert kolmogorov_empirical(samples) == dinf_est
+    if make is _tie_heavy_case:
+        assert len(np.unique(samples)) < len(samples) // 100
+
+
+@pytest.mark.parametrize("make", [_tie_heavy_case, _normal_case, _crossing_case])
+def test_exact_distances_equal_the_single_distance_functions(make):
+    law, sigma, _ = make()
+    assert distances.exact_distances(law, 0.0, sigma) == (
+        wasserstein_exact(law, 0.0, sigma),
+        kolmogorov_exact(law, 0.0, sigma),
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_empirical_distances_name_the_first_non_finite_sample(bad):
+    samples = np.linspace(-2.0, 2.0, 2_000)
+    samples[[17, 1500]] = bad
+    message = f"need finite samples; sample 17 is {bad}"
+    for fn in (wasserstein_empirical, kolmogorov_empirical, distances.empirical_distances):
+        with pytest.raises(ValueError, match=message):
+            fn(samples)

@@ -163,7 +163,9 @@ def test_crp_images_match_masked_reference(n, theta, size):
     r1 = np.random.default_rng([n, size, 3])
     r2 = np.random.default_rng([n, size, 3])
     got = sample_crp_images(params, r1, size)
-    assert got.dtype == np.int32
+    assert got.dtype == np.int32 and got.shape == (size, n)
+    # the transpose is the C-ordered (n, size) column block itself
+    assert got.T.flags.c_contiguous
     assert np.array_equal(got, masked_crp_images(params, r2, size))
     # the same draws were consumed
     assert r1.random() == r2.random()

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from ewens_stein.ewens import EwensParams
+from ewens_stein import montecarlo
+from ewens_stein.ewens import EwensParams, sample_crp_images
 from ewens_stein.montecarlo import DEFAULT_CHUNK, map_chunks, sample_statistic_batch, worker_count
 from ewens_stein.oracle import exact_statistic_law
 from ewens_stein.statistic import center
@@ -74,3 +75,44 @@ def test_worker_count_rejects_non_integer(monkeypatch):
     monkeypatch.setenv("EWENS_STEIN_THREADS", "abc")
     with pytest.raises(ValueError, match="EWENS_STEIN_THREADS must be an integer, got 'abc'"):
         worker_count()
+
+
+@pytest.mark.parametrize("n, expected", [(8, 65_536), (64, 65_536), (65, 64_527), (1000, 4_194)])
+def test_batch_chunk_size_is_bounded_by_n(monkeypatch, n, expected):
+    params = EwensParams(n=n, theta=1.0)
+    A = center(np.ones((n, n)) + np.eye(n), params)
+    seen = []
+
+    def capture(total, fn, seed, chunk_size=DEFAULT_CHUNK):
+        seen.append(chunk_size)
+        return []
+
+    monkeypatch.setattr(montecarlo, "map_chunks", capture)
+    sample_statistic_batch(A, params, 100_000, seed=0)
+    assert seen == [expected]
+    assert expected == min(DEFAULT_CHUNK, 2**22 // n)
+
+
+@pytest.mark.parametrize("n, theta", [(6, 0.5), (7, 2.0), (9, 1.3), (30, 0.8)])
+def test_batch_sums_y_in_index_order(n, theta):
+    params = EwensParams(n=n, theta=theta)
+    raw = np.random.default_rng([n, 5]).random((n, n))
+    A = center((raw + raw.T) / 2, params)
+    total = 70_000  # two chunks below n = 65
+    images = np.concatenate(
+        map_chunks(
+            total,
+            lambda rng, k: sample_crp_images(params, rng, k),
+            seed=21,
+            chunk_size=min(DEFAULT_CHUNK, 2**22 // n),
+        )
+    )
+    expected = A.centered[0, images[:, 0] - 1]
+    for i in range(1, n):
+        expected = expected + A.centered[i, images[:, i] - 1]
+    draws = sample_statistic_batch(A, params, total, seed=21)
+    assert np.array_equal(draws, expected)
+    if n < 8:
+        # below 8 terms numpy's row sum adds in index order too
+        gathered = A.centered[np.arange(n), np.ascontiguousarray(images) - 1]
+        assert np.array_equal(draws, gathered.sum(axis=1))

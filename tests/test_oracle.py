@@ -40,6 +40,23 @@ def test_discrete_law_basic():
     assert law.atoms == ((-1.0, 0.5), (1.0, 0.5))
 
 
+@pytest.mark.parametrize(
+    "values", [[1.0, -1.0, 1.0], [(1.0, 0.0), (-1.0, 2.0), (1.0, 0.0)]]
+)
+def test_discrete_law_keeps_read_only_arrays(values):
+    law = DiscreteLaw(values, [0.25, 0.5, 0.25])
+    vals, probs = law.values_array(), law.probs_array()
+    # the stored arrays themselves, not conversions
+    assert vals is law.values_array() and probs is law.probs_array()
+    assert vals.dtype == probs.dtype == np.float64
+    assert not vals.flags.writeable and not probs.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 5.0
+    assert law.probs == tuple(probs.tolist()) == (0.5, 0.5)
+    expected = tuple(map(tuple, vals.tolist())) if vals.ndim == 2 else tuple(vals.tolist())
+    assert law.values == expected
+
+
 def test_discrete_law_merges_near_ties():
     eps = 1e-14
     law = DiscreteLaw([2.0, 2.0 + eps, 3.0], [0.5, 0.25, 0.25])
