@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: pmf (probability queries), bounds (one bound report),
-verify (named self-check suites), experiment (parameter sweeps to CSV).
+experiment (parameter sweeps to CSV).
 Exit codes: 0 success, 1 runtime/numeric failure (a DegenerateError,
 e.g. degenerate variance), 2 usage or validation error.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -201,202 +200,6 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-# -- verify suites -----------------------------------------------------------
-
-
-def _suite_ewens(n: int, theta: float, seed: int) -> tuple[bool, dict]:
-    from .ewens import ewens_pmf
-    from .oracle import enumerate_permutations
-
-    n = min(n, 6)
-    worst = 0.0
-    for th in (0.5, 1.0, 2.0, theta):
-        params = EwensParams(n=n, theta=th)
-        total = math.fsum(ewens_pmf(p, params) for p in enumerate_permutations(n))
-        worst = max(worst, abs(total - 1.0))
-    params = EwensParams(n=n, theta=1.0)
-    uniform = 1.0 / math.factorial(n)
-    worst_uniform = max(
-        abs(ewens_pmf(p, params) - uniform) for p in enumerate_permutations(n)
-    )
-    ok = worst <= 1e-12 and worst_uniform <= 1e-15
-    return ok, {"max_total_deviation": worst, "max_uniform_deviation": worst_uniform}
-
-
-def _suite_moments(n: int, theta: float, seed: int) -> tuple[bool, dict]:
-    from .ewens import c1_moments, cycle_count_factorial_moment
-    from .oracle import exact_expectation
-    from .permutations import cycle_type
-
-    n = min(n, 7)
-    params = EwensParams(n=n, theta=theta)
-
-    def fact_moment_oracle(m):
-        def g(perm):
-            counts = cycle_type(perm).counts
-            value = 1.0
-            for j, mj in enumerate(m, start=1):
-                if mj:
-                    cj = counts[j - 1]
-                    for t in range(mj):
-                        value *= cj - t
-            return value
-
-        return exact_expectation(g, params)
-
-    worst = 0.0
-    probes = [
-        (1,),
-        (2,),
-        (0, 1),
-        (1, 1),
-        (0, 0, 1),
-        (2, 1),
-    ]
-    for m in probes:
-        expected = fact_moment_oracle(m)
-        got = cycle_count_factorial_moment(tuple(m) + (0,) * (n - len(m)), params)
-        scale = max(abs(expected), 1e-15)
-        worst = max(worst, abs(got - expected) / scale)
-    mom = c1_moments(params)
-    for got, m in ((mom.mean, (1,)), (mom.factorial2, (2,))):
-        expected = fact_moment_oracle(m)
-        worst = max(worst, abs(got - expected) / max(abs(expected), 1e-15))
-    ok = worst <= 1e-12
-    return ok, {"max_relative_error": worst}
-
-
-def _suite_stein_identity(n: int, theta: float, seed: int) -> tuple[bool, dict]:
-    from .oracle import enumerate_permutations
-    from .statistic import b_value, center, classify, statistic, t_statistic
-
-    n = min(n, 6)
-    params = EwensParams(n=n, theta=theta)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(3):
-        raw = rng.random((n, n))
-        A = center(np.triu(raw) + np.triu(raw, 1).T, params)
-        for perm in enumerate_permutations(n):
-            total = math.fsum(
-                b_value(
-                    i,
-                    j,
-                    perm.inverse(i),
-                    perm.inverse(j),
-                    perm(i),
-                    perm(j),
-                    classify(i, j, perm),
-                    A,
-                )
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-                if i != j
-            )
-            rhs = 4.0 * (n - 1) * statistic(A, perm) - t_statistic(A, perm, params)
-            # scale floor at M: rhs can cancel to ~0, where a pure relative
-            # error would amplify roundoff into a fake failure
-            worst = max(worst, abs(total - rhs) / max(abs(rhs), A.max_abs))
-    ok = worst <= 1e-9
-    return ok, {"max_relative_error": worst}
-
-
-def _suite_square_bias(n: int, theta: float, seed: int) -> tuple[bool, dict]:
-    from .coupling import constructive_square_bias_law
-    from .oracle import exact_square_bias_law
-    from .statistic import center
-
-    n = min(n, 6)
-    params = EwensParams(n=n, theta=theta)
-    rng = np.random.default_rng(seed)
-    raw = rng.random((n, n))
-    A = center(np.triu(raw) + np.triu(raw, 1).T, params)
-    constructive = constructive_square_bias_law(A, params)
-    oracle_law = exact_square_bias_law(A.centered, params)
-    tv = constructive.tv_distance(oracle_law)
-    ok = tv <= 1e-8
-    return ok, {"tv_distance": tv}
-
-
-def _suite_zero_bias_identity(n: int, theta: float, seed: int) -> tuple[bool, dict]:
-    from .coupling import constructive_square_bias_law
-    from .oracle import enumerate_permutations, exact_expectation
-    from .statistic import center, statistic, t_statistic, variance_decomposition
-
-    n = min(n, 6)
-    params = EwensParams(n=n, theta=theta)
-    rng = np.random.default_rng(seed)
-    raw = rng.random((n, n))
-    A = center(np.triu(raw) + np.triu(raw, 1).T, params)
-    lam = 4.0 / n
-    decomposition = variance_decomposition(A, params)
-    sigma_sq, e_yr = decomposition.sigma_sq, decomposition.e_yr
-    law = constructive_square_bias_law(A, params)
-    scale = 1.0 / (n * (n - 1))
-    worst = 0.0
-    for power in (2, 3, 4):
-        f = lambda y: y**power
-        fp = lambda pair: (f(pair[0]) - f(pair[1])) / (pair[0] - pair[1])
-        lhs = exact_expectation(lambda p: statistic(A, p) * f(statistic(A, p)), params)
-        e_fprime = law.expectation(fp)
-        e_rf = exact_expectation(
-            lambda p: t_statistic(A, p, params) * f(statistic(A, p)) * scale, params
-        )
-        rhs = sigma_sq * e_fprime - (e_yr / lam) * e_fprime + e_rf / lam
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
-    ok = worst <= 1e-8
-    return ok, {"max_relative_error": worst}
-
-
-def _suite_bounds(n: int, theta: float, seed: int) -> tuple[bool, dict]:
-    from .bounds import kappa1, kappa2
-    from .distances import kolmogorov_exact, wasserstein_exact
-    from .oracle import exact_statistic_law
-    from .statistic import center
-
-    n = min(n, 6)
-    rng = np.random.default_rng(seed)
-    worst_margin = -math.inf
-    violations = 0
-    for _ in range(3):
-        raw = rng.integers(0, 10, size=(n, n)).astype(float)
-        A_raw = np.triu(raw) + np.triu(raw, 1).T
-        params = EwensParams(n=n, theta=theta)
-        report = bound_report(A_raw, params, exact=True)
-        if report.d1_exact > report.d1_upper or report.dinf_exact > report.dinf_upper:
-            violations += 1
-        if report.dinf_lower is not None and report.dinf_lower > report.dinf_exact:
-            violations += 1
-        worst_margin = max(worst_margin, report.dinf_exact - report.dinf_upper)
-    params1 = EwensParams(n=max(n, 6), theta=1.0)
-    const_ok = abs(kappa1(params1) - math.sqrt(2.0)) <= 1e-14 and abs(
-        kappa2(params1) - math.sqrt(7.0)
-    ) <= 1e-14
-    ok = violations == 0 and const_ok
-    return ok, {"violations": violations, "theta1_constants_exact": const_ok}
-
-
-SUITES = {
-    "ewens": _suite_ewens,
-    "moments": _suite_moments,
-    "stein-identity": _suite_stein_identity,
-    "square-bias": _suite_square_bias,
-    "zero-bias-identity": _suite_zero_bias_identity,
-    "bounds": _suite_bounds,
-}
-
-
-def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}"
-        )
-    ok, details = SUITES[args.suite](args.n, args.theta, args.seed)
-    record = {"suite": args.suite, "passed": ok, **details}
-    print(json.dumps(record, sort_keys=True))
-    return EXIT_OK if ok else EXIT_RUNTIME
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -405,7 +208,7 @@ def cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ewens-stein",
-        description="Ewens-measure combinatorial CLT: sampling, bounds, verification.",
+        description="Ewens-measure combinatorial CLT: probabilities, bounds, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -438,13 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--n-grid", type=str, default=None, help="comma-separated n values")
     p_exp.add_argument("--theta-grid", type=str, default=None)
     p_exp.set_defaults(func=cmd_experiment)
-
-    p_ver = sub.add_parser("verify", help="run a named self-check suite")
-    p_ver.add_argument("--suite", type=str, required=True)
-    p_ver.add_argument("--n", type=int, default=6)
-    p_ver.add_argument("--theta", type=float, default=1.0)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.set_defaults(func=cmd_verify)
 
     return parser
 

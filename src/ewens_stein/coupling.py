@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,11 +26,12 @@ from .ewens import (
 )
 from .permutations import Permutation, reduce_delete
 from .statistic import (
+    SQUARE_BIAS_BUCKETS,
     DegenerateError,
     ScoreMatrix,
+    _bucket_weights,
     _case_constraints,
-    _distinct_square_sum,
-    _pair_power_stats,
+    _pair_sums,
     b_value,
     iter_case_configs,
     statistic,
@@ -43,22 +43,16 @@ __all__ = [
     "CouplingSample",
     "make_stein_pair",
     "index_square_bias_weights",
-    "sample_prepost",
     "SquareBiasSampler",
     "construct_dagger",
     "sample_approx_zero_bias",
     "sample_zero_bias_batch",
-    "constructive_square_bias_law",
 ]
 
-# Full per-pair configuration tables are enumerated up to this n (O(n^4)
-# configurations per pair); beyond it configurations are drawn coordinate
-# by coordinate from closed-form conditional marginals.
+# The sampler enumerates full per-pair configuration tables up to this n
+# (O(n^4) configurations per pair); beyond it configurations are drawn
+# coordinate by coordinate from closed-form conditional marginals.
 MAX_TABLE_N = 12
-
-# Enumerating the sampler's full randomness is only feasible while the
-# survivor sets stay tiny.
-MAX_CONSTRUCTIVE_N = 6
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -179,24 +173,7 @@ def index_square_bias_weights(A: ScoreMatrix, params: EwensParams) -> np.ndarray
         raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
     if n < 6:
         raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
-    W = np.zeros((n, n))
-    if n <= MAX_TABLE_N:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                W[i - 1, j - 1] = math.fsum(
-                    _config_weight(A, params, i, j, case, r, s, k, l)
-                    for case, r, s, k, l in iter_case_configs(n, i, j)
-                )
-    else:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                W[i - 1, j - 1] = math.fsum(
-                    w for _, w in _pair_bucket_weights(A, params, i, j)
-                )
+    W = sum(_bucket_weights(_pair_sums(A.centered)[1], params))
     if not W.any():
         raise DegenerateError(
             "degenerate square bias: (Y'-Y'')^2 has zero expectation for this matrix"
@@ -204,49 +181,19 @@ def index_square_bias_weights(A: ScoreMatrix, params: EwensParams) -> np.ndarray
     return W
 
 
-def _pair_bucket_weights(
-    A: ScoreMatrix, params: EwensParams, i: int, j: int
-) -> list[tuple[str, float]]:
-    """Closed-form weight of each sub-case bucket for one ordered pair.
-
-    Bucket keys name the case and, where a case splits, the coincidence
-    pattern.  Summing over buckets reproduces the enumerated pair weight.
-    """
-    n, theta = params.n, params.theta
-    m = n - 2
-    c, q1, q2 = _pair_power_stats(A.centered, i, j)
-    d3 = falling_factorial(theta + n - 1, 3)
-    d4 = falling_factorial(theta + n - 1, 4)
-    t2 = theta * theta
-    s1_cycle = _distinct_square_sum(m, q1, q2, c, (-2.0,))
-    s1_chain = _distinct_square_sum(m, q1, q2, c, (-1.0, -1.0))
-    s3_chain = _distinct_square_sum(m, q1, q2, 0.0, (1.0, -1.0))
-    s51 = _distinct_square_sum(m, q1, q2, 0.0, (2.0, -2.0))
-    s52 = _distinct_square_sum(m, q1, q2, 0.0, (2.0, -1.0, -1.0))
-    s54_chain = _distinct_square_sum(m, q1, q2, 0.0, (1.0, 0.0, -1.0))
-    s54_free = _distinct_square_sum(m, q1, q2, 0.0, (1.0, -1.0, 1.0, -1.0))
-    return [
-        ("A1:cycle", t2 * s1_cycle / d3),
-        ("A1:chain", theta * s1_chain / d3),
-        ("A2:cycle", t2 * s1_cycle / d3),
-        ("A2:chain", theta * s1_chain / d3),
-        ("A3:chain", s3_chain / d3),
-        ("A4:chain", s3_chain / d3),
-        ("A5_1", t2 * s51 / d4),
-        ("A5_2", theta * s52 / d4),
-        ("A5_3", theta * s52 / d4),
-        ("A5_4:chain_sk", s54_chain / d4),
-        ("A5_4:chain_lr", s54_chain / d4),
-        ("A5_4:free", s54_free / d4),
-    ]
+def _zero_weight(i: int, j: int) -> DegenerateError:
+    return DegenerateError(
+        f"degenerate square bias: pair ({i}, {j}) carries zero weight"
+    )
 
 
 class SquareBiasSampler:
     """Sampler for (I†, J†) and their pre/post-image configuration.
 
-    For n <= MAX_TABLE_N every configuration of every pair is enumerated
-    once into per-pair tables (exact inverse-CDF sampling).  For larger n
-    the pair and sub-case bucket are drawn from closed-form weights and the
+    The index pair is drawn from the closed-form weights at every n.  For
+    n <= MAX_TABLE_N the configurations of a drawn pair are enumerated once
+    into a per-pair table (exact inverse-CDF sampling).  For larger n the
+    sub-case bucket is drawn from its closed-form weight and the
     constrained labels are then drawn one coordinate at a time from their
     exact conditional marginals, each an O(n) vectorized computation.
     """
@@ -267,6 +214,7 @@ class SquareBiasSampler:
         flat = W.ravel()
         self._pair_cum = np.cumsum(flat)
         self._total = self._pair_cum[-1]
+        self._stats, self._sums = _pair_sums(A.centered)
         self._tables: dict[tuple[int, int], tuple] = {}
         self._buckets: dict[tuple[int, int], tuple] = {}
         self._case_id = {case: idx for idx, case in enumerate(
@@ -297,6 +245,8 @@ class SquareBiasSampler:
                     ks.append(k)
                     ls.append(l)
                     ws.append(w)
+            if not ws:
+                raise _zero_weight(i, j)
             tab = (
                 np.array(cases, dtype=np.int8),
                 np.array(rs, dtype=np.int16),
@@ -311,7 +261,8 @@ class SquareBiasSampler:
     # -- sequential route ----------------------------------------------------
 
     def _pair_context(self, i: int, j: int):
-        """u-vector machinery for one pair: pool labels, u values, stats."""
+        """u-vector machinery for one pair: pool labels, u values, stats and
+        the cumulative bucket weights."""
         key = (i, j)
         ctx = self._buckets.get(key)
         if ctx is None:
@@ -321,11 +272,11 @@ class SquareBiasSampler:
                 [x for x in range(1, n + 1) if x != i and x != j], dtype=np.intp
             )
             u = centered[pool - 1, i - 1] - centered[pool - 1, j - 1]
-            c, q1, q2 = _pair_power_stats(centered, i, j)
-            buckets = _pair_bucket_weights(self.A, self.params, i, j)
-            names = [b[0] for b in buckets]
-            cum = np.cumsum(np.array([b[1] for b in buckets]))
-            ctx = (pool, u, c, q1, q2, names, cum)
+            c, q1, q2 = (float(stat[i - 1, j - 1]) for stat in self._stats)
+            cum = np.cumsum(_bucket_weights(self._sums, self.params, (i - 1, j - 1)))
+            if not cum[-1] > 0.0:
+                raise _zero_weight(i, j)
+            ctx = (pool, u, c, q1, q2, cum)
             self._buckets[key] = ctx
         return ctx
 
@@ -344,15 +295,10 @@ class SquareBiasSampler:
     def _sample_sequential(
         self, i: int, j: int, rng: np.random.Generator
     ) -> tuple[str, int, int, int, int]:
-        pool, u, c, q1, q2, names, cum = self._pair_context(i, j)
+        pool, u, c, q1, q2, cum = self._pair_context(i, j)
         m = len(pool)
-        total = cum[-1]
-        bucket = names[
-            min(
-                int(np.searchsorted(cum, rng.random() * total, side="right")),
-                len(names) - 1,
-            )
-        ]
+        pos = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        bucket = SQUARE_BIAS_BUCKETS[min(pos, len(cum) - 1)][0]
 
         def pick(weights) -> int:
             return self._draw(weights, rng)
@@ -490,23 +436,6 @@ class SquareBiasSampler:
     def sample(self, rng: np.random.Generator) -> SquareBiasConfig:
         i, j = self.sample_pair(rng)
         return self.sample_config(i, j, rng)
-
-
-def sample_prepost(
-    i: int, j: int, A: ScoreMatrix, params: EwensParams, seed=None
-) -> SquareBiasConfig:
-    """Draw (r, s, k, l) with probability proportional to b^2 times the
-    constraint probability, for a fixed index pair.
-
-    Convenience wrapper that builds a sampler per call; hot paths should
-    hold a SquareBiasSampler and reuse it.
-    """
-    sampler = SquareBiasSampler(A, params)
-    if not sampler.pair_weights[i - 1, j - 1] > 0.0:
-        raise DegenerateError(
-            f"degenerate square bias: pair ({i}, {j}) carries zero weight"
-        )
-    return sampler.sample_config(i, j, _as_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -759,71 +688,3 @@ def sample_zero_bias_batch(
         "y_star": y_star,
         "u": us,
     }
-
-
-# ---------------------------------------------------------------------------
-# Exact law of the constructive sampler (small n)
-# ---------------------------------------------------------------------------
-
-
-def constructive_square_bias_law(A: ScoreMatrix, params: EwensParams):
-    """Exact law of (Y†, Y‡) under the constructive sampler, by enumerating
-    all of its randomness: the index pair, the configuration, and the
-    reduced permutation left after deleting D.
-
-    The reduced permutation's law is the push-forward of the Ewens measure
-    under deletion, tabulated once per deleted-label set.  Comparing the
-    result to the direct (y', y'')-reweighted law validates the construction
-    end to end.
-    """
-    from .ewens import ewens_pmf
-    from .oracle import DiscreteLaw, enumerate_permutations
-
-    n = params.n
-    if n > MAX_CONSTRUCTIVE_N:
-        raise ValueError(
-            f"constructive enumeration is capped at n <= {MAX_CONSTRUCTIVE_N}; got n = {n}"
-        )
-    if A.n != n:
-        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
-    all_perms = list(enumerate_permutations(n))
-    pmfs = [ewens_pmf(p, params) for p in all_perms]
-
-    reduced_cache: dict[frozenset[int], dict[tuple, float]] = {}
-
-    def reduced_law(D: frozenset[int]) -> dict[tuple, float]:
-        law = reduced_cache.get(D)
-        if law is None:
-            law = {}
-            survivors = sorted(x for x in range(1, n + 1) if x not in D)
-            for perm, p in zip(all_perms, pmfs):
-                rho = reduce_delete(perm, D)
-                key = tuple(rho[x] for x in survivors)
-                law[key] = law.get(key, 0.0) + p
-            reduced_cache[D] = law
-        return law
-
-    W = index_square_bias_weights(A, params)
-    total = float(W.sum())
-    values: list[tuple[float, float]] = []
-    weights: list[float] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for case, r, s, k, l in iter_case_configs(n, i, j):
-                w = _config_weight(A, params, i, j, case, r, s, k, l)
-                if w <= 0.0:
-                    continue
-                D = frozenset((i, j, r, s))
-                survivors = sorted(x for x in range(1, n + 1) if x not in D)
-                C = _case_constraints(i, j, r, s, k, l)
-                for key, p_rho in reduced_law(D).items():
-                    rho = dict(zip(survivors, key))
-                    dagger = _realize(rho, C, n)
-                    ddagger = dagger.conjugate_by_transposition(i, j)
-                    y_d = statistic(A, dagger)
-                    y_dd = statistic(A, ddagger)
-                    values.append((y_d, y_dd))
-                    weights.append(w / total * p_rho)
-    return DiscreteLaw(values, weights, normalize=True)

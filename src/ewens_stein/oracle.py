@@ -9,21 +9,27 @@ permutation's cycle count as it goes; it calls nothing in ``statistic.py``
 and no sampler.  Hard caps keep enumeration affordable: n <= 8 for
 marginal quantities (40320 permutations), n <= 6 for the joint square-bias
 law (720 permutations x 30 index pairs).
-The one exception is ``_case_sums_direct``, which enumerates index
-configurations rather than permutations: the O(n^6) reference the closed
-case sums of the variance decomposition are checked against.
+``exact_remainder`` enumerates S_n through the scalar ``statistic`` and
+``t_statistic``.  Two references enumerate something else:
+``_pair_case_sums_direct`` walks the index configurations of every pair,
+the O(n^6) reference for the closed-form pair sums behind the variance
+decomposition and the index-pair weights; ``constructive_square_bias_law``
+enumerates the randomness of the coupling's own construction, so that it
+can be compared with ``exact_square_bias_law``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .coupling import _config_weight, _realize, index_square_bias_weights
 from .ewens import EwensParams, ewens_pmf, rising_factorial
-from .permutations import Permutation
+from .permutations import Permutation, reduce_delete
 from .statistic import (
     CASE_LABELS,
     DegenerateError,
@@ -31,16 +37,21 @@ from .statistic import (
     _case_constraints,
     b_value,
     iter_case_configs,
+    statistic,
+    t_statistic,
 )
 
 __all__ = [
     "MAX_MARGINAL_N",
     "MAX_JOINT_N",
     "DiscreteLaw",
+    "Remainder",
     "enumerate_permutations",
     "exact_statistic_law",
     "exact_expectation",
     "exact_square_bias_law",
+    "exact_remainder",
+    "constructive_square_bias_law",
 ]
 
 MAX_MARGINAL_N = 8
@@ -328,24 +339,34 @@ def exact_square_bias_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
     return DiscreteLaw(values, weights, normalize=True)
 
 
-def _case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
-    """sum over ordered pairs and configurations of b^2 * theta^{loops},
-    per case, by explicit loops with skip tests."""
+def _pair_case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, np.ndarray]:
+    """Per ordered pair (i, j), the sum over each case's configurations of
+    b^2 * theta^{loops}, by explicit loops with skip tests: one (n, n)
+    array for each case that can carry b != 0."""
     n, theta = params.n, params.theta
-    pieces: dict[str, list[float]] = {
-        case: [] for case in CASE_LABELS if not case.startswith("A0")
-    }
+    sums = {case: np.zeros((n, n)) for case in CASE_LABELS if not case.startswith("A0")}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
+            pieces: dict[str, list[float]] = {case: [] for case in sums}
             for case, r, s, k, l in iter_case_configs(n, i, j):
                 b = b_value(i, j, r, s, k, l, case, A)
                 if b == 0.0:
                     continue
                 loops = _config_loops(i, j, r, s, k, l)
                 pieces[case].append(b * b * theta**loops)
-    return {case: math.fsum(vals) for case, vals in pieces.items()}
+            for case, vals in pieces.items():
+                sums[case][i - 1, j - 1] = math.fsum(vals)
+    return sums
+
+
+def _case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
+    """The per-case sums of b^2 * theta^{loops} over all ordered pairs."""
+    return {
+        case: math.fsum(v.ravel().tolist())
+        for case, v in _pair_case_sums_direct(A, params).items()
+    }
 
 
 def _config_loops(i: int, j: int, r: int, s: int, k: int, l: int) -> int:
@@ -363,3 +384,101 @@ def _config_loops(i: int, j: int, r: int, s: int, k: int, l: int) -> int:
         if x == start:
             loops += 1
     return loops
+
+
+@dataclass(frozen=True)
+class Remainder:
+    """R(Y') = E[T | Y']/(n(n-1)) in exact-atom form.
+
+    ``atoms`` maps each Y'-value to its conditional remainder; built by
+    exact enumeration (small n only).  lam is the Stein pair's lambda = 4/n.
+    """
+
+    lam: float
+    atoms: dict[float, float]
+
+    def r_of(self, y: float, tol: float = 1e-9) -> float:
+        if y in self.atoms:
+            return self.atoms[y]
+        for value, r in self.atoms.items():
+            if abs(value - y) <= tol:
+                return r
+        raise KeyError(f"no Y' atom within {tol} of {y}")
+
+
+def exact_remainder(A: ScoreMatrix, params: EwensParams) -> Remainder:
+    """Exact conditional-expectation remainder via enumeration (n <= 8).
+
+    The Y' values are sorted once; a value within ATOM_MERGE_TOL of the one
+    before it joins that value's atom, which is keyed by its smallest value.
+    """
+    n = params.n
+    _check_cap(n, MAX_MARGINAL_N, "exact_remainder")
+    perms = list(enumerate_permutations(n))
+    ys = np.array([statistic(A, perm) for perm in perms])
+    ps = np.array([ewens_pmf(perm, params) for perm in perms])
+    ts = np.array([t_statistic(A, perm, params) for perm in perms])
+    order = np.argsort(ys, kind="stable")
+    ys = ys[order]
+    starts = np.flatnonzero(_gaps(ys))
+    mass = np.add.reduceat(ps[order], starts)
+    t_mass = np.add.reduceat((ps * ts)[order], starts)
+    r = t_mass / mass / (n * (n - 1))
+    return Remainder(lam=4.0 / n, atoms=dict(zip(ys[starts].tolist(), r.tolist())))
+
+
+def constructive_square_bias_law(A: ScoreMatrix, params: EwensParams) -> DiscreteLaw:
+    """Exact law of (Y†, Y‡) under the constructive sampler, by enumerating
+    all of its randomness: the index pair, the configuration, and the
+    reduced permutation left after deleting D.
+
+    The reduced permutation's law is the push-forward of the Ewens measure
+    under deletion, tabulated once per deleted-label set.  Comparing the
+    result to the direct (y', y'')-reweighted law validates the construction
+    end to end.
+    """
+    n = params.n
+    _check_cap(n, MAX_JOINT_N, "constructive_square_bias_law")
+    if A.n != n:
+        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
+    all_perms = list(enumerate_permutations(n))
+    pmfs = [ewens_pmf(p, params) for p in all_perms]
+
+    reduced_cache: dict[frozenset[int], dict[tuple, float]] = {}
+
+    def reduced_law(D: frozenset[int]) -> dict[tuple, float]:
+        law = reduced_cache.get(D)
+        if law is None:
+            law = {}
+            survivors = sorted(x for x in range(1, n + 1) if x not in D)
+            for perm, p in zip(all_perms, pmfs):
+                rho = reduce_delete(perm, D)
+                key = tuple(rho[x] for x in survivors)
+                law[key] = law.get(key, 0.0) + p
+            reduced_cache[D] = law
+        return law
+
+    W = index_square_bias_weights(A, params)
+    total = float(W.sum())
+    values: list[tuple[float, float]] = []
+    weights: list[float] = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            for case, r, s, k, l in iter_case_configs(n, i, j):
+                w = _config_weight(A, params, i, j, case, r, s, k, l)
+                if w <= 0.0:
+                    continue
+                D = frozenset((i, j, r, s))
+                survivors = sorted(x for x in range(1, n + 1) if x not in D)
+                C = _case_constraints(i, j, r, s, k, l)
+                for key, p_rho in reduced_law(D).items():
+                    rho = dict(zip(survivors, key))
+                    dagger = _realize(rho, C, n)
+                    ddagger = dagger.conjugate_by_transposition(i, j)
+                    y_d = statistic(A, dagger)
+                    y_dd = statistic(A, ddagger)
+                    values.append((y_d, y_dd))
+                    weights.append(w / total * p_rho)
+    return DiscreteLaw(values, weights, normalize=True)

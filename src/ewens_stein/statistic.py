@@ -28,7 +28,6 @@ __all__ = [
     "DegenerateError",
     "ScoreMatrix",
     "CASE_LABELS",
-    "Remainder",
     "VarianceDecomposition",
     "grand_mean",
     "center",
@@ -37,7 +36,6 @@ __all__ = [
     "b_value",
     "iter_case_configs",
     "t_statistic",
-    "exact_remainder",
     "sigma_squared",
     "variance_decomposition",
     "remainder_bounds",
@@ -313,50 +311,6 @@ def t_statistic(A: ScoreMatrix, perm: Permutation, params: EwensParams) -> float
     )
 
 
-@dataclass(frozen=True)
-class Remainder:
-    """R(Y') = E[T | Y']/(n(n-1)) in exact-atom form.
-
-    ``atoms`` maps each Y'-value to its conditional remainder; built by
-    exact enumeration (small n only).  lam is the Stein pair's lambda = 4/n.
-    """
-
-    lam: float
-    atoms: dict[float, float]
-
-    def r_of(self, y: float, tol: float = 1e-9) -> float:
-        if y in self.atoms:
-            return self.atoms[y]
-        for value, r in self.atoms.items():
-            if abs(value - y) <= tol:
-                return r
-        raise KeyError(f"no Y' atom within {tol} of {y}")
-
-
-def exact_remainder(A: ScoreMatrix, params: EwensParams) -> Remainder:
-    """Exact conditional-expectation remainder via enumeration (n <= 8)."""
-    from .oracle import MAX_MARGINAL_N, enumerate_permutations
-    from .ewens import ewens_pmf
-
-    n = params.n
-    if n > MAX_MARGINAL_N:
-        raise ValueError(
-            f"exact remainder needs full enumeration, capped at n <= {MAX_MARGINAL_N}"
-        )
-    mass: dict[float, float] = {}
-    t_mass: dict[float, float] = {}
-    for perm in enumerate_permutations(n):
-        p = ewens_pmf(perm, params)
-        y = statistic(A, perm)
-        # exact grouping: identical Y values are bit-identical here
-        key = min((v for v in mass if abs(v - y) <= 1e-12), default=y)
-        mass[key] = mass.get(key, 0.0) + p
-        t_mass[key] = t_mass.get(key, 0.0) + p * t_statistic(A, perm, params)
-    scale = 1.0 / (n * (n - 1))
-    atoms = {y: scale * t_mass[y] / mass[y] for y in mass}
-    return Remainder(lam=4.0 / n, atoms=atoms)
-
-
 # ---------------------------------------------------------------------------
 # Variance decomposition
 # ---------------------------------------------------------------------------
@@ -564,28 +518,57 @@ def iter_case_configs(
                     yield "A5_4", r, s, k, l
 
 
-def _pair_power_stats(
-    centered: np.ndarray, i: int, j: int
-) -> tuple[float, float, float]:
-    """(c, q1, q2) for the ordered pair: c = a_ii - a_jj and the first two
-    power sums of u_x = a_{x,i} - a_{x,j} over x outside {i, j}."""
-    col = centered[:, i - 1] - centered[:, j - 1]
-    c = centered[i - 1, i - 1] - centered[j - 1, j - 1]
-    q1 = float(col.sum() - col[i - 1] - col[j - 1])
-    q2 = float((col * col).sum() - col[i - 1] ** 2 - col[j - 1] ** 2)
-    return c, q1, q2
+# The seven distinct-tuple square sums of an ordered pair (i, j).  Every b
+# of the pair is affine in u_x = a_{x,i} - a_{x,j} (x outside {i, j}) with
+# offset 0 or c = a_ii - a_jj; the entry names whether the offset is c and
+# gives b's signs on its distinct labels:
+#     A1 2-cycle (s): c - 2 u_s            A1 chain (s, l): c - u_s - u_l
+#     A2 mirrors A1 with b -> -b; A3 chain (r, l): u_r - u_l (A4 mirrored,
+#     the 3-cycles have b = 0)
+#     A5_1 (r, s): 2(u_r - u_s)           A5_2 (r, s, l): 2 u_r - u_s - u_l
+#     A5_3 mirrors A5_2; A5_4 free (r, s, k, l): u_r + u_k - u_s - u_l,
+#     its two chains u_r - u_l and u_k - u_s with a free middle label, and
+#     its 4-cycle b = 0.
+_SQUARE_SUMS = {
+    "A1_cycle": (True, (-2.0,)),
+    "A1_chain": (True, (-1.0, -1.0)),
+    "A3": (False, (1.0, -1.0)),
+    "A5_1": (False, (2.0, -2.0)),
+    "A5_2": (False, (2.0, -1.0, -1.0)),
+    "A5_4_chain": (False, (1.0, 0.0, -1.0)),
+    "A5_4_free": (False, (1.0, -1.0, 1.0, -1.0)),
+}
+
+# The sub-case buckets of a pair's square-bias weight: the bucket (its case
+# before the colon), its square sum, the power of theta its closed loops
+# give, and its number k of constraints.  The bucket weighs
+# theta^power * sum / (theta+n-1)_(k); summed over a case it is the case's
+# share of E[b^2(i, j, ...)].
+SQUARE_BIAS_BUCKETS = (
+    ("A1:cycle", "A1_cycle", 2, 3),
+    ("A1:chain", "A1_chain", 1, 3),
+    ("A2:cycle", "A1_cycle", 2, 3),
+    ("A2:chain", "A1_chain", 1, 3),
+    ("A3:chain", "A3", 0, 3),
+    ("A4:chain", "A3", 0, 3),
+    ("A5_1", "A5_1", 2, 4),
+    ("A5_2", "A5_2", 1, 4),
+    ("A5_3", "A5_2", 1, 4),
+    ("A5_4:chain_sk", "A5_4_chain", 0, 4),
+    ("A5_4:chain_lr", "A5_4_chain", 0, 4),
+    ("A5_4:free", "A5_4_free", 0, 4),
+)
 
 
-def _distinct_square_sum(
-    m: int, q1: float, q2: float, alpha: float, eps: tuple[float, ...]
-) -> float:
+def _distinct_square_sum(m: int, q1, q2, alpha, eps: tuple[float, ...]):
     """sum over distinct tuples (x_1..x_T) from a pool of m labels of
     (alpha + sum_t eps_t u_{x_t})^2, given the power sums q1, q2 of u.
 
     Expanding the square, every term reduces by symmetry to q1, q2 and
     counting factors: distinct tuples number m_(T), each fixed coordinate
     ranges with multiplicity (m-1)_(T-1), and unordered coordinate pairs
-    with multiplicity (m-2)_(T-2) against (q1^2 - q2).
+    with multiplicity (m-2)_(T-2) against (q1^2 - q2).  Works elementwise
+    on arrays of (q1, q2, alpha).
     """
     T = len(eps)
     if m < T:
@@ -604,48 +587,61 @@ def _distinct_square_sum(
     )
 
 
-def _case_sums_closed(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
-    """Closed-form evaluation of the per-case sums for symmetric matrices.
+def _pair_sums(
+    centered: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[str, np.ndarray]]:
+    """The pair statistics and square sums of every ordered pair at once.
 
-    For each ordered pair (i, j) every b reduces to an affine function of
-    u_x = a_{x,i} - a_{x,j} (c = a_ii - a_jj):
-        A1 chain  (s, l):  c - u_s - u_l      A1 2-cycle: c - 2 u_s
-        A2 chain  (r, k): -c + u_r + u_k      (same squares as A1)
-        A3 chain  (r, l):  u_r - u_l          (3-cycle value is 0)
-        A5_1      (r, s):  2(u_r - u_s)
-        A5_2      (r,s,l): 2 u_r - u_s - u_l  (A5_3 mirrored)
-        A5_4 free (r,s,k,l): u_r + u_k - u_s - u_l; chains: u_r - u_l and
-                  u_k - u_s with a free middle label; 4-cycle value is 0.
-    Each case sum is then a polynomial in the power sums (q1, q2) of u.
+    Returns (c, q1, q2) and the _SQUARE_SUMS by name, all (n, n) arrays
+    indexed [i-1, j-1]: c = a_ii - a_jj and q1, q2 the first two power
+    sums of u_x = a_{x,i} - a_{x,j} over x outside {i, j}.  q2 is the
+    squared distance of columns i and j, read off the Gram matrix, less
+    the x in {i, j} terms.  The square sums are sums of squares, so the
+    round-off below zero is clipped; the diagonal of every array is 0.
     """
-    n, theta = params.n, params.theta
-    m = n - 2
-    centered = A.centered
-    t2 = theta * theta
-    acc = {case: [] for case in CASE_LABELS if not case.startswith("A0")}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            c, q1, q2 = _pair_power_stats(centered, i, j)
-            s1_cycle = _distinct_square_sum(m, q1, q2, c, (-2.0,))
-            s1_chain = _distinct_square_sum(m, q1, q2, c, (-1.0, -1.0))
-            s3_chain = _distinct_square_sum(m, q1, q2, 0.0, (1.0, -1.0))
-            s51 = _distinct_square_sum(m, q1, q2, 0.0, (2.0, -2.0))
-            s52 = _distinct_square_sum(m, q1, q2, 0.0, (2.0, -1.0, -1.0))
-            s54_chain = _distinct_square_sum(m, q1, q2, 0.0, (1.0, 0.0, -1.0))
-            s54_free = _distinct_square_sum(
-                m, q1, q2, 0.0, (1.0, -1.0, 1.0, -1.0)
-            )
-            acc["A1"].append(t2 * s1_cycle + theta * s1_chain)
-            acc["A2"].append(t2 * s1_cycle + theta * s1_chain)
-            acc["A3"].append(s3_chain)
-            acc["A4"].append(s3_chain)
-            acc["A5_1"].append(t2 * s51)
-            acc["A5_2"].append(theta * s52)
-            acc["A5_3"].append(theta * s52)
-            acc["A5_4"].append(2.0 * s54_chain + s54_free)
-    return {case: math.fsum(vals) for case, vals in acc.items()}
+    n = len(centered)
+    d = np.diag(centered)
+    u_i = d[:, None] - centered  # u_x at x = i: a_ii - a_ij
+    u_j = centered.T - d  # u_x at x = j: a_ji - a_jj
+    col = centered.sum(axis=0)
+    gram = centered.T @ centered
+    g = np.diag(gram)
+    c = d[:, None] - d
+    q1 = col[:, None] - col - u_i - u_j
+    q2 = g[:, None] + g - 2.0 * gram - u_i * u_i - u_j * u_j
+    sums = {
+        name: np.maximum(
+            _distinct_square_sum(n - 2, q1, q2, c if offset else 0.0, eps), 0.0
+        )
+        for name, (offset, eps) in _SQUARE_SUMS.items()
+    }
+    return (c, q1, q2), sums
+
+
+def _bucket_weights(sums: dict[str, np.ndarray], params: EwensParams, at=...) -> list:
+    """The weight of each SQUARE_BIAS_BUCKETS entry: (n, n) arrays over
+    every pair, or floats for the one pair at = (i-1, j-1)."""
+    theta = params.theta
+    return [
+        theta**power * sums[name][at] / falling_factorial(theta + params.n - 1, k)
+        for _, name, power, k in SQUARE_BIAS_BUCKETS
+    ]
+
+
+def _pair_case_sums(A: ScoreMatrix, params: EwensParams) -> dict[str, np.ndarray]:
+    """Per ordered pair, the sum over each case's configurations of
+    b^2 theta^{loops}: an (n, n) array for each case that can carry b != 0."""
+    _, sums = _pair_sums(A.centered)
+    out: dict[str, np.ndarray] = {}
+    for bucket, name, power, _ in SQUARE_BIAS_BUCKETS:
+        case = bucket.partition(":")[0]
+        out[case] = out.get(case, 0.0) + params.theta**power * sums[name]
+    return out
+
+
+def _case_sums_closed(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
+    """The per-case sums of b^2 theta^{loops} over all ordered pairs."""
+    return {case: float(v.sum()) for case, v in _pair_case_sums(A, params).items()}
 
 
 def remainder_bounds(

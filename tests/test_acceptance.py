@@ -26,7 +26,7 @@ from ewens_stein.bounds import (
     kappa1,
     kappa2,
 )
-from ewens_stein.coupling import SquareBiasSampler, constructive_square_bias_law, sample_zero_bias_batch
+from ewens_stein.coupling import SquareBiasSampler, sample_zero_bias_batch
 from ewens_stein.ewens import (
     EwensParams,
     c1_moments,
@@ -34,7 +34,12 @@ from ewens_stein.ewens import (
     ewens_pmf,
     sample_crp_images,
 )
-from ewens_stein.oracle import enumerate_permutations, exact_square_bias_law, exact_statistic_law
+from ewens_stein.oracle import (
+    constructive_square_bias_law,
+    enumerate_permutations,
+    exact_square_bias_law,
+    exact_statistic_law,
+)
 from ewens_stein.permutations import cycle_type
 from ewens_stein.statistic import (
     b_value,

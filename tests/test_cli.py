@@ -211,20 +211,6 @@ def test_experiment_empty_grid(capsys):
     assert "grid is empty" in capsys.readouterr().err
 
 
-def test_verify_known_suites(capsys):
-    for suite in ("ewens", "moments", "square-bias"):
-        assert main(["verify", "--suite", suite, "--n", "6"]) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert record["suite"] == suite
-        assert record["passed"] is True
-
-
-def test_verify_unknown_suite(capsys):
-    assert main(["verify", "--suite", "nonsense"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown suite" in err and "ewens" in err
-
-
 def test_argparse_errors_exit_2(capsys):
     assert main(["bounds"]) == 2  # missing required --n
     capsys.readouterr()

@@ -4,23 +4,31 @@ import numpy as np
 import pytest
 
 from ewens_stein.coupling import (
-    MAX_CONSTRUCTIVE_N,
     MAX_TABLE_N,
     SquareBiasConfig,
     SquareBiasSampler,
     construct_dagger,
-    constructive_square_bias_law,
     index_square_bias_weights,
     make_stein_pair,
     sample_approx_zero_bias,
-    sample_prepost,
     sample_zero_bias_batch,
 )
-from ewens_stein.ewens import EwensParams, constrained_prob, sample_crp_images
-from ewens_stein.oracle import exact_square_bias_law
+from ewens_stein.ewens import (
+    EwensParams,
+    constrained_prob,
+    falling_factorial,
+    sample_crp_images,
+)
+from ewens_stein.oracle import (
+    MAX_JOINT_N,
+    _pair_case_sums_direct,
+    constructive_square_bias_law,
+    exact_square_bias_law,
+)
 from ewens_stein.permutations import Permutation, cycle_type, reduce_delete
 from ewens_stein.statistic import (
     DegenerateError,
+    _pair_case_sums,
     b_value,
     center,
     classify,
@@ -99,21 +107,47 @@ def test_index_weights_degenerate():
 
 
 def test_sampler_agrees_between_routes():
-    """Closed-form pair weights (large-n route) equal enumerated ones."""
-    n = 9
-    params = EwensParams(n=n, theta=1.2)
-    A = random_centered(n, 1.2, 77)
-    sampler = SquareBiasSampler(A, params)
-    assert sampler.use_tables  # n = 9 <= MAX_TABLE_N
-    clone = SquareBiasSampler(A, params)
-    clone.use_tables = False
-    W = index_square_bias_weights(A, params)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            total = clone._pair_context(i, j)[6][-1]
-            assert total == pytest.approx(W[i - 1, j - 1], rel=1e-12)
+    """The pair kernel's index weights W and per-pair case sums, which the
+    sequential route draws from, equal the enumerated per-pair, per-case
+    reference that the table route's configurations sum to."""
+    for n in (6, 9):
+        for theta in (0.5, 1.2):
+            params = EwensParams(n=n, theta=theta)
+            A = random_centered(n, theta, 77 + n)
+            direct = _pair_case_sums_direct(A, params)
+            closed = _pair_case_sums(A, params)
+            assert set(closed) == set(direct)
+            for case, ref in direct.items():
+                np.testing.assert_allclose(closed[case], ref, rtol=1e-12, atol=0)
+            # A1-A4 configurations fix three images, A5 ones four
+            W = sum(
+                ref / falling_factorial(theta + n - 1, 4 if case.startswith("A5") else 3)
+                for case, ref in direct.items()
+            )
+            np.testing.assert_allclose(
+                index_square_bias_weights(A, params), W, rtol=1e-12, atol=0
+            )
+
+
+def test_pair_kernel_matches_monte_carlo_pairs_at_n30():
+    """Above the oracle range: the kernel's E(Y'-Y'')^2 against the mean of
+    (Y'-Y'')^2 over CRP permutations conjugated by uniform transpositions."""
+    n, theta, count = 30, 1.3, 20_000
+    params = EwensParams(n=n, theta=theta)
+    A = random_centered(n, theta, 130)
+    rng = np.random.default_rng(131)
+    images = np.array(sample_crp_images(params, rng, count)) - 1
+    i = rng.integers(0, n, count)
+    j = (i + rng.integers(1, n, count)) % n
+    rows = np.arange(count)[:, None]
+    tau = np.tile(np.arange(n), (count, 1))
+    tau[rows[:, 0], i], tau[rows[:, 0], j] = j, i
+    conj = tau[rows, images[rows, tau]]  # tau pi tau, row by row
+    cols = np.arange(n)
+    diff_sq = (A.centered[cols, images].sum(axis=1) - A.centered[cols, conj].sum(axis=1)) ** 2
+    kernel = float(index_square_bias_weights(A, params).sum()) / (n * (n - 1))
+    se = float(diff_sq.std()) / math.sqrt(count)
+    assert abs(float(diff_sq.mean()) - kernel) <= 5.0 * se
 
 
 def test_sampled_configs_have_positive_exact_weight():
@@ -161,24 +195,31 @@ def test_sequential_route_samples_the_same_law():
         assert abs(p1 - p2) <= 6.0 * se + 1e-3
 
 
-def test_sample_prepost_matches_pair_conditional():
+def test_sample_config_draws_for_the_given_pair():
     n = 6
     params = EwensParams(n=n, theta=1.3)
     A = random_centered(n, 1.3, 41)
-    cfg = sample_prepost(2, 5, A, params, seed=0)
-    assert (cfg.i, cfg.j) == (2, 5)
-    assert cfg.weight > 0
+    sampler = SquareBiasSampler(A, params)
+    for use_tables in (True, False):
+        sampler.use_tables = use_tables
+        cfg = sampler.sample_config(2, 5, np.random.default_rng(0))
+        assert (cfg.i, cfg.j) == (2, 5)
+        assert cfg.weight > 0
 
 
-def test_sample_prepost_zero_weight_pair():
+def test_sample_config_zero_weight_pair():
     # rows 1 and 2 identical (and equal diagonal) kill every b for (1, 2)
     n = 6
     raw = np.ones((n, n))
     raw[3, 3] = 5.0
     params = EwensParams(n=n, theta=1.0)
     A = center(raw, params)
-    with pytest.raises(ValueError, match=r"pair \(1, 2\) carries zero weight"):
-        sample_prepost(1, 2, A, params, seed=0)
+    sampler = SquareBiasSampler(A, params)
+    assert sampler.pair_weights[0, 1] == 0.0
+    for use_tables in (True, False):
+        sampler.use_tables = use_tables
+        with pytest.raises(DegenerateError, match=r"pair \(1, 2\) carries zero weight"):
+            sampler.sample_config(1, 2, np.random.default_rng(0))
 
 
 def test_construct_dagger_realizes_constraints():
@@ -294,4 +335,4 @@ def test_batch_respects_gap_bound():
 
 def test_caps_are_what_they_claim():
     assert MAX_TABLE_N == 12
-    assert MAX_CONSTRUCTIVE_N == 6
+    assert MAX_JOINT_N == 6

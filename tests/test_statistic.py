@@ -8,6 +8,7 @@ from ewens_stein.oracle import (
     _case_sums_direct,
     enumerate_permutations,
     exact_expectation,
+    exact_remainder,
     exact_statistic_law,
 )
 from ewens_stein.permutations import Permutation
@@ -19,7 +20,6 @@ from ewens_stein.statistic import (
     b_value,
     center,
     classify,
-    exact_remainder,
     grand_mean,
     iter_case_configs,
     remainder_bounds,
