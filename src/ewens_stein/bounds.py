@@ -300,6 +300,11 @@ def bound_report(
         "samples": samples or None,
         "sigma_method": "closed-form",
     }
+    if samples:
+        # the partition depends on (n, samples) alone, never on the workers
+        chunks = montecarlo.chunk_counts(samples, montecarlo.batch_chunk_size(params.n))
+        provenance["chunks"] = len(chunks)
+        provenance["largest_chunk"] = chunks[0]
     return BoundReport(
         n=params.n,
         theta=params.theta,

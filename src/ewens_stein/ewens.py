@@ -130,14 +130,18 @@ def sample_crp(params: EwensParams, rng: np.random.Generator) -> Permutation:
 
     Element m joins as a fixed point with probability theta/(theta+m-1),
     otherwise it is inserted just after a uniformly chosen existing element
-    z (pi(m) <- pi(z); pi(z) <- m).
+    z (pi(m) <- pi(z); pi(z) <- m).  Each step draws one uniform r and sets
+    u = r (theta+m-1) - theta: u < 0 makes m a fixed point, and u >= 0
+    inserts after z = min(floor(u), m-2) + 1.  Given u >= 0, z is uniform on
+    1..m-1 up to the (theta+m-1) 2^-53 granularity of r; the clamp catches
+    an r whose product rounds up to theta+m-1.
     """
     n, theta = params.n, params.theta
     img = list(range(1, n + 1))
     for m in range(2, n + 1):
-        u = rng.random() * (theta + m - 1)
-        if u >= theta:
-            z = int(rng.integers(1, m))
+        u = rng.random() * (theta + m - 1) - theta
+        if u >= 0:
+            z = min(int(u), m - 2) + 1
             img[m - 1] = img[z - 1]
             img[z - 1] = m
     return Permutation(img)
@@ -149,12 +153,13 @@ def sample_crp_images(
     """Batch CRP sampler: a (size, n) int32 array of 1-based image rows.
 
     Vectorized across the batch; each row has the same law as sample_crp.
-    The per-step randomness (accept/insert decision, then insertion point)
-    matches the sequential sampler draw-for-draw so that size=1 reproduces
-    sample_crp with the same generator state.  The images are built as an
-    (n, size) C-ordered column block, row i-1 holding pi(i) for every
-    sample, and returned as its transpose: a Fortran-ordered view whose
-    ``.T`` gives the block back without a copy.
+    Every step draws one uniform per row and applies sample_crp's rule to
+    it, so size=1 reproduces sample_crp draw for draw with the same
+    generator state, and each insertion point is uniform up to the same
+    (theta+m-1) 2^-53 granularity.  The images are built as an (n, size)
+    C-ordered column block, row i-1 holding pi(i) for every sample, and
+    returned as its transpose: a Fortran-ordered view whose ``.T`` gives
+    the block back without a copy.
     """
     n, theta = params.n, params.theta
     block = np.empty((n, size), dtype=np.int32)
@@ -163,15 +168,20 @@ def sample_crp_images(
     samples = np.arange(size)
     for m in range(2, n + 1):
         block[m - 1] = m
-        u = rng.random(size) * (theta + m - 1)
-        insert = u >= theta
-        if not insert.any():
-            continue
-        z = rng.integers(1, m, size=size)
-        # samples that do not insert swap row m-1 with itself
-        src = np.where(insert, z - 1, m - 1) * size + samples
-        block[m - 1] = flat[src]
-        flat[src] = m
+        u = rng.random(size)
+        u *= theta + m - 1
+        u -= theta
+        # floor(clip(u, -1, m-2)) is z-1 for an insertion and -1 for a fixed
+        # point; row -1 of the first m rows is row m-1, so a fixed point
+        # swaps its own entry with itself and no mask is needed
+        np.clip(u, -1, m - 2, out=u)
+        np.floor(u, out=u)
+        src = u.astype(np.intp)
+        src *= size
+        src += samples
+        head = flat[: m * size]
+        block[m - 1] = head[src]
+        head[src] = m
     return block.T
 
 

@@ -1,9 +1,10 @@
 """Deterministic chunked Monte-Carlo driving.
 
-Work is split into fixed-size chunks; each chunk gets an independent
-generator spawned from the master seed, and results are combined in chunk
-order.  The output is therefore identical for any worker count: threads
-change wall-clock time, never the numbers.  EWENS_STEIN_THREADS caps the
+Work is split into the fewest chunks that fit a size cap, with sizes
+differing by at most one; each chunk gets an independent generator spawned
+from the master seed, and results are combined in chunk order.  The
+output is therefore identical for any worker count: threads change
+wall-clock time, never the numbers.  EWENS_STEIN_THREADS caps the
 worker pool.
 """
 
@@ -15,7 +16,13 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-__all__ = ["worker_count", "map_chunks", "sample_statistic_batch"]
+__all__ = [
+    "worker_count",
+    "chunk_counts",
+    "batch_chunk_size",
+    "map_chunks",
+    "sample_statistic_batch",
+]
 
 DEFAULT_CHUNK = 65_536
 
@@ -34,6 +41,21 @@ def worker_count() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+def chunk_counts(total: int, chunk_size: int) -> list[int]:
+    """ceil(total / chunk_size) chunk sizes summing to total, none above
+    chunk_size, differing by at most 1, the larger ones first."""
+    if total <= 0:
+        return []
+    k = -(-total // chunk_size)
+    q, r = divmod(total, k)
+    return [q + 1] * r + [q] * (k - r)
+
+
+def batch_chunk_size(n: int) -> int:
+    """Chunk cap for n-element CRP batches: at most 2**22 image entries."""
+    return min(DEFAULT_CHUNK, 2**22 // n)
+
+
 def map_chunks(
     total: int,
     fn: Callable[[np.random.Generator, int], T],
@@ -42,15 +64,14 @@ def map_chunks(
 ) -> list[T]:
     """Run fn(rng, count) over chunks summing to total; results in chunk order.
 
-    Each chunk's generator is spawned from SeedSequence(seed), so the
-    partition — and hence every number produced — depends only on
-    (total, seed, chunk_size), never on scheduling.
+    The partition is chunk_counts(total, chunk_size), so no chunk runs much
+    longer than another.  Each chunk's generator is spawned from
+    SeedSequence(seed), so the partition — and hence every number produced
+    — depends only on (total, seed, chunk_size), never on scheduling.
     """
-    if total <= 0:
+    counts = chunk_counts(total, chunk_size)
+    if not counts:
         return []
-    counts = [chunk_size] * (total // chunk_size)
-    if total % chunk_size:
-        counts.append(total % chunk_size)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(counts))
     workers = min(worker_count(), len(counts))
@@ -83,5 +104,5 @@ def sample_statistic_batch(A, params, total: int, seed) -> np.ndarray:
             y += padded[i][block[i]]
         return y
 
-    parts = map_chunks(total, chunk, seed, chunk_size=min(DEFAULT_CHUNK, 2**22 // n))
+    parts = map_chunks(total, chunk, seed, chunk_size=batch_chunk_size(n))
     return np.concatenate(parts) if parts else np.empty(0)

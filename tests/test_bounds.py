@@ -162,6 +162,7 @@ def test_bound_report_exact_on_integer_matrix():
     assert rep.dinf_upper == pytest.approx(rep.alpha2 / rep.sigma, rel=1e-15)
     assert rep.provenance["sigma_method"] == "closed-form"
     assert rep.provenance["samples"] is None
+    assert "chunks" not in rep.provenance and "largest_chunk" not in rep.provenance
 
 
 def test_bound_report_non_integer_has_no_lower_bound():
@@ -188,6 +189,8 @@ def test_bound_report_empirical_consistency():
     assert abs(rep.d1_empirical.d1 - rep.d1_exact) <= 0.02
     assert rep.provenance["samples"] == 40_000
     assert rep.provenance["seed"] == 11
+    assert rep.provenance["chunks"] == 1
+    assert rep.provenance["largest_chunk"] == 40_000
 
 
 def test_bound_report_sigma_is_deterministic(monkeypatch):

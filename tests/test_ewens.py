@@ -135,19 +135,16 @@ def test_crp_images_shape_and_validity():
 
 
 def masked_crp_images(params, rng, size):
-    """The batch CRP step on a (size, n) int64 array, indexing only the rows
-    that insert."""
+    """The one-draw batch CRP step on a (size, n) int64 array, indexing only
+    the rows that insert."""
     n, theta = params.n, params.theta
     img = np.tile(np.arange(1, n + 1, dtype=np.int64), (size, 1))
     rows = np.arange(size)
     for m in range(2, n + 1):
-        u = rng.random(size) * (theta + m - 1)
-        insert = u >= theta
-        if not insert.any():
-            continue
-        z = rng.integers(1, m, size=size)
+        u = rng.random(size) * (theta + m - 1) - theta
+        insert = u >= 0
         r = rows[insert]
-        zi = z[insert] - 1
+        zi = np.minimum(np.floor(u[insert]).astype(np.int64), m - 2)  # z - 1
         img[r, m - 1] = img[r, zi]
         img[r, zi] = m
     return img
@@ -156,7 +153,7 @@ def masked_crp_images(params, rng, size):
 @pytest.mark.parametrize(
     "n, theta, size",
     [(n, theta, size) for n in (1, 2, 8, 50) for theta in (0.3, 2.0) for size in (1, 7, 1000)]
-    + [(2, 1e6, 1)],  # theta = 1e6: no row inserts, so no insertion point is drawn
+    + [(2, 1e6, 1)],  # theta = 1e6: no row inserts, yet the step still draws its uniform
 )
 def test_crp_images_match_masked_reference(n, theta, size):
     params = EwensParams(n=n, theta=theta)
@@ -167,8 +164,35 @@ def test_crp_images_match_masked_reference(n, theta, size):
     # the transpose is the C-ordered (n, size) column block itself
     assert got.T.flags.c_contiguous
     assert np.array_equal(got, masked_crp_images(params, r2, size))
-    # the same draws were consumed
-    assert r1.random() == r2.random()
+    # one uniform per row and step, nothing else
+    r3 = np.random.default_rng([n, size, 3])
+    r3.random((n - 1) * size)
+    assert r1.bit_generator.state == r2.bit_generator.state == r3.bit_generator.state
+
+
+class TopUniform:
+    """A generator stand-in whose every uniform is the largest double below 1."""
+
+    top = np.nextafter(1.0, 0.0)
+
+    def random(self, size=None):
+        return self.top if size is None else np.full(size, self.top)
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.0])
+def test_crp_clamps_insertion_point_at_rounding_edge(theta):
+    n = 9
+    params = EwensParams(n=n, theta=theta)
+    # every step inserts after z = m - 1, which chains 1..n into one n-cycle
+    cycle = tuple(range(2, n + 1)) + (1,)
+    assert sample_crp(params, TopUniform()).image == cycle
+    rows = sample_crp_images(params, TopUniform(), 3)
+    assert [tuple(int(x) for x in row) for row in rows] == [cycle] * 3
+    if theta == 0.3:
+        # at m = 8 the product rounds up to theta + m - 1, so floor(u) = m - 1
+        # and only the clamp keeps z on 1..m-1
+        m = 8
+        assert math.floor(TopUniform.top * (theta + m - 1) - theta) == m - 1
 
 
 def test_constrained_prob_frozen():

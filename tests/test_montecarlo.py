@@ -5,16 +5,35 @@ import pytest
 
 from ewens_stein import montecarlo
 from ewens_stein.ewens import EwensParams, sample_crp_images
-from ewens_stein.montecarlo import DEFAULT_CHUNK, map_chunks, sample_statistic_batch, worker_count
+from ewens_stein.montecarlo import (
+    DEFAULT_CHUNK,
+    batch_chunk_size,
+    chunk_counts,
+    map_chunks,
+    sample_statistic_batch,
+    worker_count,
+)
 from ewens_stein.oracle import exact_statistic_law
 from ewens_stein.statistic import center
 
 
 def test_map_chunks_partition():
     sizes = map_chunks(250, lambda rng, k: k, seed=0, chunk_size=100)
-    assert sizes == [100, 100, 50]
+    assert sizes == [84, 83, 83]
     assert map_chunks(100, lambda rng, k: k, seed=0, chunk_size=100) == [100]
     assert map_chunks(0, lambda rng, k: k, seed=0) == []
+
+
+@pytest.mark.parametrize("cap", [100, DEFAULT_CHUNK])
+@pytest.mark.parametrize("total", [1, 99, 100, 101, 250, 10**5, 10**6])
+def test_chunk_counts_are_near_equal(total, cap):
+    sizes = chunk_counts(total, cap)
+    assert sum(sizes) == total
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= cap
+    assert len(sizes) == -(-total // cap)
+    assert sizes == sorted(sizes, reverse=True)
+    assert map_chunks(total, lambda rng, k: k, seed=0, chunk_size=cap) == sizes
 
 
 def test_map_chunks_deterministic_across_workers(monkeypatch):
@@ -90,7 +109,7 @@ def test_batch_chunk_size_is_bounded_by_n(monkeypatch, n, expected):
     monkeypatch.setattr(montecarlo, "map_chunks", capture)
     sample_statistic_batch(A, params, 100_000, seed=0)
     assert seen == [expected]
-    assert expected == min(DEFAULT_CHUNK, 2**22 // n)
+    assert expected == batch_chunk_size(n) == min(DEFAULT_CHUNK, 2**22 // n)
 
 
 @pytest.mark.parametrize("n, theta", [(6, 0.5), (7, 2.0), (9, 1.3), (30, 0.8)])

@@ -5,6 +5,7 @@ Each example draws n, theta and a seed for a random symmetric matrix.
 Examples are derandomized so that the suite is deterministic.
 """
 
+import json
 import math
 import os
 from contextlib import contextmanager
@@ -113,3 +114,8 @@ def test_sampled_results_do_not_depend_on_the_worker_count(n, theta, total, seed
             reports.append(bound_report(raw, params, samples=total, seed=seed).to_json_str())
     assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
     assert reports[0] == reports[1] == reports[2]
+    # the recorded partition is the near-equal split of total, which is
+    # what keeps those bytes free of the worker count
+    prov = json.loads(reports[0])["provenance"]
+    assert prov["chunks"] == -(-total // DEFAULT_CHUNK)
+    assert prov["largest_chunk"] == -(-total // prov["chunks"])
