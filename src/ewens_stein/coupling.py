@@ -161,7 +161,9 @@ def _config_weight(
     return b * b * constrained_prob(pm, params)
 
 
-def index_square_bias_weights(A: ScoreMatrix, params: EwensParams) -> np.ndarray:
+def index_square_bias_weights(
+    A: ScoreMatrix, params: EwensParams, *, _sums: dict | None = None
+) -> np.ndarray:
     """Unnormalized sampling weights for the index pair (I†, J†).
 
     Entry (i, j), i != j, is E[b^2(i, j, ...)] = sum over configurations of
@@ -173,7 +175,10 @@ def index_square_bias_weights(A: ScoreMatrix, params: EwensParams) -> np.ndarray
         raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
     if n < 6:
         raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
-    W = sum(_bucket_weights(_pair_sums(A.centered)[1], params))
+    # SquareBiasSampler passes the _pair_sums of A it already holds
+    if _sums is None:
+        _sums = _pair_sums(A.centered)[1]
+    W = sum(_bucket_weights(_sums, params))
     if not W.any():
         raise DegenerateError(
             "degenerate square bias: (Y'-Y'')^2 has zero expectation for this matrix"
@@ -209,12 +214,11 @@ class SquareBiasSampler:
         self.params = params
         self.n = params.n
         self.use_tables = self.n <= MAX_TABLE_N
-        W = index_square_bias_weights(A, params)
-        self.pair_weights = W
-        flat = W.ravel()
-        self._pair_cum = np.cumsum(flat)
-        self._total = self._pair_cum[-1]
         self._stats, self._sums = _pair_sums(A.centered)
+        W = index_square_bias_weights(A, params, _sums=self._sums)
+        self.pair_weights = W
+        self._pair_cum = np.cumsum(W.ravel())
+        self._total = self._pair_cum[-1]
         self._tables: dict[tuple[int, int], tuple] = {}
         self._buckets: dict[tuple[int, int], tuple] = {}
         self._case_id = {case: idx for idx, case in enumerate(

@@ -4,11 +4,11 @@ Everything here works by enumerating all n! permutations and weighting them
 with the Ewens pmf, so it is deliberately independent of the constructive
 samplers and case-by-case formulas it is used to check.
 ``exact_statistic_law`` builds S_n by insertion (label m becomes a fixed
-point or goes in just after an earlier label), which yields each
-permutation's cycle count as it goes; it calls nothing in ``statistic.py``
-and no sampler.  Hard caps keep enumeration affordable: n <= 8 for
-marginal quantities (40320 permutations), n <= 6 for the joint square-bias
-law (720 permutations x 30 index pairs).
+point or goes in just after an earlier label), once per n and process,
+which yields each permutation's cycle count as it goes; it calls nothing
+in ``statistic.py`` and no sampler.  Hard caps keep enumeration
+affordable: n <= 8 for marginal quantities (40320 permutations), n <= 6
+for the joint square-bias law (720 permutations x 30 index pairs).
 ``exact_remainder`` enumerates S_n through the scalar ``statistic`` and
 ``t_statistic``.  Two references enumerate something else:
 ``_pair_case_sums_direct`` walks the index configurations of every pair,
@@ -20,6 +20,7 @@ can be compared with ``exact_square_bias_law``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
@@ -192,7 +193,8 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.
     goes to the greedy rule whole.
     """
     if values.ndim == 1:
-        order = np.argsort(values, kind="stable")
+        # tied values' order is free: group masses are order-free sums
+        order = np.argsort(values)
     else:
         order = np.lexsort((values[:, 1], values[:, 0]))
     values, probs = values[order], probs[order]
@@ -251,24 +253,34 @@ def exact_statistic_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
     ``A`` is used exactly as given (pass the centered matrix for the
     centered statistic); this routine does its own summation rather than
     calling the statistic module, so the two paths stay independent.  S_n
-    is one (n!, n) array of 0-based images built by insertion together
-    with each permutation's cycle count, Y one gather-sum over A, and the
-    pmf theta^{#cycles} / theta^{(n)}.
+    comes from the per-process cache of ``_sn_columns``, Y from one gather
+    per row of A summed in numpy's row-sum order, and the pmf
+    theta^{#cycles} / theta^{(n)}.
     """
     n, theta = params.n, params.theta
     _check_cap(n, MAX_MARGINAL_N, "exact_statistic_law")
     a = np.asarray(A, dtype=float)
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape} does not match n = {n}")
-    images, cycles = _insertion_images(n)
+    columns, cycles = _sn_columns(n)
     theta_powers = np.array([theta**k for k in range(n + 1)])
     probs = theta_powers[cycles] / rising_factorial(theta, n)
-    ys = a[np.arange(n), images].sum(axis=1)
+    # bit for bit a[arange(n), images].sum(axis=1): 0 plus numpy's pairwise
+    # sum, which adds left to right below 8 terms and as a tree at 8
+    t = [a[k].take(columns[k]) for k in range(n)]
+    if n == 8:
+        ys = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+        ys += 0.0
+    else:
+        ys = sum(t, 0.0)
     return DiscreteLaw(ys, probs)
 
 
-def _insertion_images(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All of S_n as an (n!, n) array of 0-based images, with cycle counts.
+@functools.lru_cache(maxsize=MAX_MARGINAL_N)
+def _sn_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All of S_n as a read-only (n, n!) block of 0-based images, row k
+    holding pi(k) of every permutation, with the cycle counts; built once
+    per n and process.
 
     Each permutation of {0, ..., m-1} has m + 1 extensions to label m: m
     as a fixed point (one more cycle), or m inserted just after z in z's
@@ -287,7 +299,9 @@ def _insertion_images(n: int) -> tuple[np.ndarray, np.ndarray]:
         grown[z, :, z] = m
         images = grown.reshape(-1, m + 1)
         cycles = np.concatenate((np.tile(cycles, m), cycles + 1))
-    return images, cycles
+    columns = np.ascontiguousarray(images.T)
+    columns.flags.writeable = cycles.flags.writeable = False
+    return columns, cycles
 
 
 def exact_expectation(

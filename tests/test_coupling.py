@@ -106,6 +106,16 @@ def test_index_weights_degenerate():
         index_square_bias_weights(A, params)
 
 
+@pytest.mark.parametrize("n", [6, 10, 50, 200])
+def test_sampler_weights_are_the_index_weights(n):
+    """The sampler hands its own pair sums to index_square_bias_weights;
+    W is the one computed from scratch."""
+    params = EwensParams(n=n, theta=1.3)
+    A = random_centered(n, 1.3, 5 + n)
+    sampler = SquareBiasSampler(A, params)
+    assert np.array_equal(sampler.pair_weights, index_square_bias_weights(A, params))
+
+
 def test_sampler_agrees_between_routes():
     """The pair kernel's index weights W and per-pair case sums, which the
     sequential route draws from, equal the enumerated per-pair, per-case

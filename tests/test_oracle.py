@@ -1,13 +1,18 @@
 import math
+import threading
 from itertools import chain, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewens_stein.ewens import EwensParams, c1_moments, ewens_pmf, rising_factorial
 from ewens_stein.oracle import (
     ATOM_MERGE_TOL,
+    MAX_MARGINAL_N,
     DiscreteLaw,
+    _sn_columns,
     enumerate_permutations,
     exact_expectation,
     exact_square_bias_law,
@@ -134,6 +139,47 @@ def test_discrete_law_matches_greedy_merge_on_jittered_ties(seed):
     assert_same_atoms_as_greedy(list(map(tuple, points.tolist())), probs, normalize=True)
 
 
+def assert_bit_identical_laws(law, other):
+    assert law.values_array().tobytes() == other.values_array().tobytes()
+    assert law.probs_array().tobytes() == other.probs_array().tobytes()
+
+
+# Integer centres plus multiples of 0.35e-12: exact ties, ties within
+# ATOM_MERGE_TOL and tie runs that span up to 2.8e-12, wider than it.
+jittered = st.tuples(st.integers(0, 3), st.integers(-4, 4)).map(
+    lambda cj: cj[0] + 0.35e-12 * cj[1]
+)
+atom_lists = st.lists(
+    st.tuples(jittered, jittered, st.floats(min_value=0.01, max_value=1.0)),
+    min_size=1,
+    max_size=120,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(atoms=atom_lists, data=st.data())
+def test_discrete_law_does_not_depend_on_atom_order(atoms, data):
+    order = data.draw(st.permutations(range(len(atoms))))
+    shuffled = [atoms[k] for k in order]
+    for pick in (lambda a: a[0], lambda a: (a[0], a[1])):
+        law = DiscreteLaw([pick(a) for a in atoms], [a[2] for a in atoms], normalize=True)
+        again = DiscreteLaw(
+            [pick(a) for a in shuffled], [a[2] for a in shuffled], normalize=True
+        )
+        assert_bit_identical_laws(law, again)
+
+
+def test_discrete_law_merge_is_free_of_the_sort_kind():
+    # tied values the default argsort orders differently from a stable one
+    rng = np.random.default_rng(0)
+    values = rng.integers(0, 3, size=64) + 0.4e-12 * rng.integers(0, 2, size=64)
+    probs = rng.random(64)
+    assert not np.array_equal(np.argsort(values), np.argsort(values, kind="stable"))
+    law = assert_same_atoms_as_greedy(values.tolist(), probs.tolist(), normalize=True)
+    stable = np.argsort(values, kind="stable")
+    assert_bit_identical_laws(law, DiscreteLaw(values[stable], probs[stable], normalize=True))
+
+
 def test_discrete_law_validation():
     with pytest.raises(ValueError, match="at least one atom"):
         DiscreteLaw([], [])
@@ -249,6 +295,64 @@ def test_exact_statistic_law_is_bit_identical_to_enumeration(n, theta):
 def test_exact_statistic_law_shape_check():
     with pytest.raises(ValueError, match="does not match"):
         exact_statistic_law(np.ones((4, 4)), EwensParams(n=5, theta=1.0))
+
+
+def test_sn_cache_is_read_only_and_bounded():
+    for n in range(1, MAX_MARGINAL_N + 1):
+        columns, cycles = _sn_columns(n)
+        assert columns.shape == (n, math.factorial(n)) and cycles.shape == (math.factorial(n),)
+        assert columns.dtype == cycles.dtype == np.intp
+        assert not columns.flags.writeable and not cycles.flags.writeable
+        with pytest.raises(ValueError):
+            columns[0, 0] = 1
+        with pytest.raises(ValueError):
+            cycles[0] = 1
+        assert _sn_columns(n)[0] is columns
+    with pytest.raises(ValueError, match="capped at n <= 8"):
+        exact_statistic_law(np.zeros((9, 9)), EwensParams(n=9, theta=1.0))
+    info = _sn_columns.cache_info()
+    assert info.maxsize == MAX_MARGINAL_N
+    assert info.currsize <= MAX_MARGINAL_N
+
+
+def test_sn_cache_gives_the_same_law_cold_and_warm():
+    rng = np.random.default_rng(8)
+    raw = rng.random((8, 8))
+    calls = [
+        (A, EwensParams(n=8, theta=theta))
+        for A in ((raw + raw.T) / 2.0, np.round(9.0 * (raw + raw.T)))
+        for theta in (0.5, 2.0)
+    ]
+    runs = []
+    for sequence in (calls, calls[::-1]):
+        _sn_columns.cache_clear()
+        laws = [exact_statistic_law(A, params) for A, params in sequence]
+        assert _sn_columns.cache_info().misses == 1
+        runs.append(laws)
+    for cold, warm in zip(runs[0], runs[1][::-1]):
+        assert_bit_identical_laws(cold, warm)
+
+
+def test_sn_cache_under_concurrent_first_calls():
+    rng = np.random.default_rng(9)
+    raw = rng.random((8, 8))
+    A, params = (raw + raw.T) / 2.0, EwensParams(n=8, theta=1.5)
+    _sn_columns.cache_clear()
+    barrier = threading.Barrier(2)
+    laws = [None, None]
+
+    def run(k):
+        barrier.wait()
+        laws[k] = exact_statistic_law(A, params)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert_bit_identical_laws(laws[0], laws[1])
+    assert_bit_identical_laws(laws[0], exact_statistic_law(A, params))
+    assert _sn_columns.cache_info().currsize == 1
 
 
 def test_exact_expectation():
