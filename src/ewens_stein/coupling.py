@@ -33,7 +33,6 @@ from .statistic import (
     _case_constraints,
     _pair_sums,
     b_value,
-    iter_case_configs,
     statistic,
 )
 
@@ -48,12 +47,6 @@ __all__ = [
     "sample_approx_zero_bias",
     "sample_zero_bias_batch",
 ]
-
-# The sampler enumerates full per-pair configuration tables up to this n
-# (O(n^4) configurations per pair); beyond it configurations are drawn
-# coordinate by coordinate from closed-form conditional marginals.
-MAX_TABLE_N = 12
-
 
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -195,10 +188,8 @@ def _zero_weight(i: int, j: int) -> DegenerateError:
 class SquareBiasSampler:
     """Sampler for (I†, J†) and their pre/post-image configuration.
 
-    The index pair is drawn from the closed-form weights at every n.  For
-    n <= MAX_TABLE_N the configurations of a drawn pair are enumerated once
-    into a per-pair table (exact inverse-CDF sampling).  For larger n the
-    sub-case bucket is drawn from its closed-form weight and the
+    The index pair is drawn from the closed-form weights.  Given the pair,
+    the sub-case bucket is drawn from its closed-form weight and the
     constrained labels are then drawn one coordinate at a time from their
     exact conditional marginals, each an O(n) vectorized computation.
     """
@@ -213,18 +204,12 @@ class SquareBiasSampler:
         self.A = A
         self.params = params
         self.n = params.n
-        self.use_tables = self.n <= MAX_TABLE_N
         self._stats, self._sums = _pair_sums(A.centered)
         W = index_square_bias_weights(A, params, _sums=self._sums)
         self.pair_weights = W
         self._pair_cum = np.cumsum(W.ravel())
         self._total = self._pair_cum[-1]
-        self._tables: dict[tuple[int, int], tuple] = {}
         self._buckets: dict[tuple[int, int], tuple] = {}
-        self._case_id = {case: idx for idx, case in enumerate(
-            ("A1", "A2", "A3", "A4", "A5_1", "A5_2", "A5_3", "A5_4")
-        )}
-        self._id_case = {v: k for k, v in self._case_id.items()}
 
     # -- pair level --------------------------------------------------------
 
@@ -233,36 +218,7 @@ class SquareBiasSampler:
         pos = min(pos, self.n * self.n - 1)
         return pos // self.n + 1, pos % self.n + 1
 
-    # -- table route ---------------------------------------------------------
-
-    def _pair_table(self, i: int, j: int):
-        key = (i, j)
-        tab = self._tables.get(key)
-        if tab is None:
-            cases, rs, ss, ks, ls, ws = [], [], [], [], [], []
-            for case, r, s, k, l in iter_case_configs(self.n, i, j):
-                w = _config_weight(self.A, self.params, i, j, case, r, s, k, l)
-                if w > 0.0:
-                    cases.append(self._case_id[case])
-                    rs.append(r)
-                    ss.append(s)
-                    ks.append(k)
-                    ls.append(l)
-                    ws.append(w)
-            if not ws:
-                raise _zero_weight(i, j)
-            tab = (
-                np.array(cases, dtype=np.int8),
-                np.array(rs, dtype=np.int16),
-                np.array(ss, dtype=np.int16),
-                np.array(ks, dtype=np.int16),
-                np.array(ls, dtype=np.int16),
-                np.cumsum(np.array(ws)),
-            )
-            self._tables[key] = tab
-        return tab
-
-    # -- sequential route ----------------------------------------------------
+    # -- configuration level ------------------------------------------------
 
     def _pair_context(self, i: int, j: int):
         """u-vector machinery for one pair: pool labels, u values, stats and
@@ -425,15 +381,7 @@ class SquareBiasSampler:
     def sample_config(
         self, i: int, j: int, rng: np.random.Generator
     ) -> SquareBiasConfig:
-        if self.use_tables:
-            cases, rs, ss, ks, ls, cum = self._pair_table(i, j)
-            total = cum[-1]
-            pos = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            pos = min(pos, len(cum) - 1)
-            case = self._id_case[int(cases[pos])]
-            r, s, k, l = int(rs[pos]), int(ss[pos]), int(ks[pos]), int(ls[pos])
-        else:
-            case, r, s, k, l = self._sample_sequential(i, j, rng)
+        case, r, s, k, l = self._sample_sequential(i, j, rng)
         w = _config_weight(self.A, self.params, i, j, case, r, s, k, l)
         return SquareBiasConfig(i=i, j=j, r=r, s=s, k=k, l=l, case=case, weight=w)
 
@@ -605,7 +553,7 @@ def sample_zero_bias_batch(
     *,
     sampler: SquareBiasSampler | None = None,
 ) -> dict[str, np.ndarray]:
-    """Vectorized zero-bias sampling returning arrays of the four statistics.
+    """Zero-bias sampling returning arrays of the four statistics.
 
     Identical in law to repeated sample_approx_zero_bias but avoids
     materializing Permutation objects: the permutation surgery touches at

@@ -126,40 +126,26 @@ def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
 
 
 def sample_crp(params: EwensParams, rng: np.random.Generator) -> Permutation:
-    """One Ewens(theta) draw via the Chinese-restaurant construction.
-
-    Element m joins as a fixed point with probability theta/(theta+m-1),
-    otherwise it is inserted just after a uniformly chosen existing element
-    z (pi(m) <- pi(z); pi(z) <- m).  Each step draws one uniform r and sets
-    u = r (theta+m-1) - theta: u < 0 makes m a fixed point, and u >= 0
-    inserts after z = min(floor(u), m-2) + 1.  Given u >= 0, z is uniform on
-    1..m-1 up to the (theta+m-1) 2^-53 granularity of r; the clamp catches
-    an r whose product rounds up to theta+m-1.
-    """
-    n, theta = params.n, params.theta
-    img = list(range(1, n + 1))
-    for m in range(2, n + 1):
-        u = rng.random() * (theta + m - 1) - theta
-        if u >= 0:
-            z = min(int(u), m - 2) + 1
-            img[m - 1] = img[z - 1]
-            img[z - 1] = m
-    return Permutation(img)
+    """One Ewens(theta) draw: sample_crp_images with a batch of one."""
+    return Permutation(sample_crp_images(params, rng, 1)[0].tolist())
 
 
 def sample_crp_images(
     params: EwensParams, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Batch CRP sampler: a (size, n) int32 array of 1-based image rows.
+    """Batch CRP sampler: a (size, n) int32 array of 1-based image rows,
+    each an Ewens(theta) draw via the Chinese-restaurant construction.
 
-    Vectorized across the batch; each row has the same law as sample_crp.
-    Every step draws one uniform per row and applies sample_crp's rule to
-    it, so size=1 reproduces sample_crp draw for draw with the same
-    generator state, and each insertion point is uniform up to the same
-    (theta+m-1) 2^-53 granularity.  The images are built as an (n, size)
-    C-ordered column block, row i-1 holding pi(i) for every sample, and
-    returned as its transpose: a Fortran-ordered view whose ``.T`` gives
-    the block back without a copy.
+    Element m joins as a fixed point with probability theta/(theta+m-1),
+    otherwise it is inserted just after a uniformly chosen existing element
+    z (pi(m) <- pi(z); pi(z) <- m).  Each step draws one uniform r per row
+    and sets u = r (theta+m-1) - theta: u < 0 makes m a fixed point, and
+    u >= 0 inserts after z = min(floor(u), m-2) + 1.  Given u >= 0, z is
+    uniform on 1..m-1 up to the (theta+m-1) 2^-53 granularity of r; the
+    clamp catches an r whose product rounds up to theta+m-1.  The images
+    are built as an (n, size) C-ordered column block, row i-1 holding
+    pi(i) for every sample, and returned as its transpose: a
+    Fortran-ordered view whose ``.T`` gives the block back without a copy.
     """
     n, theta = params.n, params.theta
     block = np.empty((n, size), dtype=np.int32)

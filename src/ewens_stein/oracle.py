@@ -11,11 +11,12 @@ affordable: n <= 8 for marginal quantities (40320 permutations), n <= 6
 for the joint square-bias law (720 permutations x 30 index pairs).
 ``exact_remainder`` enumerates S_n through the scalar ``statistic`` and
 ``t_statistic``.  Two references enumerate something else:
-``_pair_case_sums_direct`` walks the index configurations of every pair,
-the O(n^6) reference for the closed-form pair sums behind the variance
-decomposition and the index-pair weights; ``constructive_square_bias_law``
-enumerates the randomness of the coupling's own construction, so that it
-can be compared with ``exact_square_bias_law``.
+``_pair_case_sums_direct`` walks the index configurations of every pair
+(``iter_case_configs``), the O(n^6) reference for the closed-form pair
+sums behind the variance decomposition and the index-pair weights;
+``constructive_square_bias_law`` enumerates the randomness of the
+coupling's own construction, so that it can be compared with
+``exact_square_bias_law``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .statistic import (
     ScoreMatrix,
     _case_constraints,
     b_value,
-    iter_case_configs,
     statistic,
     t_statistic,
 )
@@ -53,6 +53,7 @@ __all__ = [
     "exact_square_bias_law",
     "exact_remainder",
     "constructive_square_bias_law",
+    "iter_case_configs",
 ]
 
 MAX_MARGINAL_N = 8
@@ -351,6 +352,84 @@ def exact_square_bias_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
             "degenerate square bias: (Y'-Y'')^2 has zero expectation for this matrix"
         )
     return DiscreteLaw(values, weights, normalize=True)
+
+
+def iter_case_configs(
+    n: int, i: int, j: int
+) -> Iterator[tuple[str, int, int, int, int]]:
+    """All pre/post-image configurations (case, r, s, k, l) for the ordered
+    pair (i, j) in the cases that can carry nonzero b.
+
+    r, s are the pre-images of i, j under pi; k, l their images.  A0 cases
+    are omitted (b is identically zero there).  Configurations whose b
+    happens to vanish for a particular matrix (e.g. the A3 three-cycle under
+    symmetry) are still yielded; callers weight by b^2 so they drop out.
+    Within A5_4 the stream walks the four coincidence patterns —
+    closed 4-cycle (s=k, l=r), the two five-label chains (s=k only, l=r
+    only), and all six labels distinct — exactly once each.
+    """
+    others = [x for x in range(1, n + 1) if x != i and x != j]
+    for s in others:
+        yield "A1", i, s, i, s
+        for l in others:
+            if l != s:
+                yield "A1", i, s, i, l
+    for r in others:
+        yield "A2", r, j, r, j
+        for k in others:
+            if k != r:
+                yield "A2", r, j, k, j
+    for r in others:
+        yield "A3", r, i, j, r
+        for l in others:
+            if l != r:
+                yield "A3", r, i, j, l
+    for s in others:
+        yield "A4", j, s, s, i
+        for k in others:
+            if k != s:
+                yield "A4", j, s, k, i
+    for r in others:
+        for s in others:
+            if s == r:
+                continue
+            yield "A5_1", r, s, r, s
+            for l in others:
+                if l != r and l != s:
+                    yield "A5_2", r, s, r, l
+            for k in others:
+                if k != r and k != s:
+                    yield "A5_3", r, s, k, s
+    # A5_4 coincidence patterns
+    for r in others:
+        for k in others:
+            if k == r:
+                continue
+            # 4-cycle: s = k and l = r
+            yield "A5_4", r, k, k, r
+            for l in others:
+                if l != r and l != k:
+                    # chain with s = k: r -> i -> k -> j -> l
+                    yield "A5_4", r, k, k, l
+    for s in others:
+        for l in others:
+            if l == s:
+                continue
+            for k in others:
+                if k != s and k != l:
+                    # chain with l = r: s -> j -> l(=r) -> i -> k
+                    yield "A5_4", l, s, k, l
+    for r in others:
+        for s in others:
+            if s == r:
+                continue
+            for k in others:
+                if k == r or k == s:
+                    continue
+                for l in others:
+                    if l == r or l == s or l == k:
+                        continue
+                    yield "A5_4", r, s, k, l
 
 
 def _pair_case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, np.ndarray]:

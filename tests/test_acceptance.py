@@ -16,6 +16,7 @@ import sys
 import time
 
 import numpy as np
+from chisquare import chi2_upper_quantile, pearson_chi2
 
 from ewens_stein.bounds import (
     KOLMOGOROV_GAP_COEFF,
@@ -132,21 +133,6 @@ def test_criterion_02_moments():
     assert ok
 
 
-def _chi2_upper_quantile(df, tail):
-    """Wilson-Hilferty approximation to the upper `tail` quantile of chi^2_df."""
-    lo, hi = 0.0, 40.0  # bisect P(Z > z) = tail for the normal quantile z
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if 0.5 * math.erfc(mid / math.sqrt(2.0)) > tail else (lo, mid)
-    h = 2.0 / (9.0 * df)
-    return df * (1.0 - h + lo * math.sqrt(h)) ** 3
-
-
-def _pearson_chi2(counts, probs):
-    expected = counts.sum() * probs
-    return float(np.sum((counts - expected) ** 2 / expected))
-
-
 def test_criterion_03_crp_sampler_law():
     # The sampler must draw a law within TV 0.01 of E_theta.  The plug-in TV
     # of 10^6 draws cannot gate that: its upward bias alone is ~0.0105 at
@@ -173,7 +159,7 @@ def test_criterion_03_crp_sampler_law():
             codes.append(code)
         even = np.array([(n - pi.cycle_count()) % 2 == 0 for pi in perms])
         df = len(perms) - 1
-        threshold = _chi2_upper_quantile(df, 1e-6)
+        threshold = chi2_upper_quantile(df, 1e-6)
         for k, (theta, params) in enumerate(params_list):
             probs = np.array([ewens_pmf(pi, params) for pi in perms])
             rng = np.random.default_rng([30, n, k])
@@ -187,7 +173,7 @@ def test_criterion_03_crp_sampler_law():
             tv = 0.5 * math.fsum(np.abs(observed / draws - probs))
             if tv > worst_tv[0]:
                 worst_tv = (tv, (n, theta))
-            chi2 = _pearson_chi2(observed, probs)
+            chi2 = pearson_chi2(observed, probs)
             if chi2 / threshold > worst[0]:
                 worst = (chi2 / threshold, chi2, threshold, df, (n, theta))
             # a law at TV exactly 0.01 whose shift is proportional to probs,
@@ -196,7 +182,7 @@ def test_criterion_03_crp_sampler_law():
                 even, probs / probs[even].sum(), -probs / probs[~even].sum()
             )
             departure = np.random.default_rng([31, n, k]).multinomial(draws, shifted)
-            departures_rejected += _pearson_chi2(departure, probs) > threshold
+            departures_rejected += pearson_chi2(departure, probs) > threshold
     elapsed = time.perf_counter() - t0
     ok = worst[0] <= 1.0 and departures_rejected == 6 and elapsed < 60.0
     report(3, "crp-sampler-law", ok,

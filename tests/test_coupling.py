@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from chisquare import chi2_upper_quantile, pearson_chi2, pool_cells
+
 from ewens_stein.coupling import (
-    MAX_TABLE_N,
     SquareBiasConfig,
     SquareBiasSampler,
+    _config_weight,
     construct_dagger,
     index_square_bias_weights,
     make_stein_pair,
@@ -24,6 +26,7 @@ from ewens_stein.oracle import (
     _pair_case_sums_direct,
     constructive_square_bias_law,
     exact_square_bias_law,
+    iter_case_configs,
 )
 from ewens_stein.permutations import Permutation, cycle_type, reduce_delete
 from ewens_stein.statistic import (
@@ -118,8 +121,8 @@ def test_sampler_weights_are_the_index_weights(n):
 
 def test_sampler_agrees_between_routes():
     """The pair kernel's index weights W and per-pair case sums, which the
-    sequential route draws from, equal the enumerated per-pair, per-case
-    reference that the table route's configurations sum to."""
+    sampler draws from, equal the per-pair, per-case reference summed over
+    the enumerated configurations."""
     for n in (6, 9):
         for theta in (0.5, 1.2):
             params = EwensParams(n=n, theta=theta)
@@ -176,33 +179,34 @@ def test_sampled_configs_have_positive_exact_weight():
 
 
 def test_sequential_route_samples_the_same_law():
-    """Bucket frequencies from the sequential sampler match the tables."""
-    n = 8
+    """Pearson chi^2 of sampled (case, r, s, k, l) configurations against
+    the exact per-pair law from enumeration, cells pooled to an expected
+    count of at least 5, rejected above the null upper 1e-6 quantile."""
+    n = 7
     params = EwensParams(n=n, theta=1.1)
     A = random_centered(n, 1.1, 31)
-    tables = SquareBiasSampler(A, params)
-    seq = SquareBiasSampler(A, params)
-    seq.use_tables = False
-
-    def bucket(cfg):
-        return (cfg.case, cfg.r == cfg.l, cfg.s == cfg.k)
-
-    draws = 20_000
-    rng1 = np.random.default_rng(9)
-    rng2 = np.random.default_rng(10)
-    f1, f2 = {}, {}
-    for _ in range(draws):
-        c1 = tables.sample_config(2, 6, rng1)
-        c2 = seq._sample_sequential(2, 6, rng2)
-        cfg2 = (c2[0], c2[1], c2[2], c2[3], c2[4])
-        f1[bucket(c1)] = f1.get(bucket(c1), 0) + 1
-        key2 = (cfg2[0], cfg2[1] == cfg2[4], cfg2[2] == cfg2[3])
-        f2[key2] = f2.get(key2, 0) + 1
-    for key in set(f1) | set(f2):
-        p1 = f1.get(key, 0) / draws
-        p2 = f2.get(key, 0) / draws
-        se = math.sqrt(max(p1 * (1 - p1), 1e-9) / draws)
-        assert abs(p1 - p2) <= 6.0 * se + 1e-3
+    sampler = SquareBiasSampler(A, params)
+    rng = np.random.default_rng(9)
+    draws = 40_000
+    for i, j in ((2, 6), (5, 1)):
+        law: dict[tuple, float] = {}
+        for case, r, s, k, l in iter_case_configs(n, i, j):
+            w = _config_weight(A, params, i, j, case, r, s, k, l)
+            if w > 0.0:
+                key = (case, r, s, k, l)
+                law[key] = law.get(key, 0.0) + w
+        cells = list(law)
+        index = {key: t for t, key in enumerate(cells)}
+        counts = np.zeros(len(cells))
+        for _ in range(draws):
+            cfg = sampler.sample_config(i, j, rng)
+            # a configuration outside the exact support raises KeyError here
+            counts[index[(cfg.case, cfg.r, cfg.s, cfg.k, cfg.l)]] += 1
+        probs = np.array([law[key] for key in cells])
+        probs /= probs.sum()
+        pooled_counts, pooled_probs = pool_cells(counts, probs, 5.0)
+        threshold = chi2_upper_quantile(len(pooled_probs) - 1, 1e-6)
+        assert pearson_chi2(pooled_counts, pooled_probs) <= threshold
 
 
 def test_sample_config_draws_for_the_given_pair():
@@ -210,11 +214,9 @@ def test_sample_config_draws_for_the_given_pair():
     params = EwensParams(n=n, theta=1.3)
     A = random_centered(n, 1.3, 41)
     sampler = SquareBiasSampler(A, params)
-    for use_tables in (True, False):
-        sampler.use_tables = use_tables
-        cfg = sampler.sample_config(2, 5, np.random.default_rng(0))
-        assert (cfg.i, cfg.j) == (2, 5)
-        assert cfg.weight > 0
+    cfg = sampler.sample_config(2, 5, np.random.default_rng(0))
+    assert (cfg.i, cfg.j) == (2, 5)
+    assert cfg.weight > 0
 
 
 def test_sample_config_zero_weight_pair():
@@ -226,10 +228,8 @@ def test_sample_config_zero_weight_pair():
     A = center(raw, params)
     sampler = SquareBiasSampler(A, params)
     assert sampler.pair_weights[0, 1] == 0.0
-    for use_tables in (True, False):
-        sampler.use_tables = use_tables
-        with pytest.raises(DegenerateError, match=r"pair \(1, 2\) carries zero weight"):
-            sampler.sample_config(1, 2, np.random.default_rng(0))
+    with pytest.raises(DegenerateError, match=r"pair \(1, 2\) carries zero weight"):
+        sampler.sample_config(1, 2, np.random.default_rng(0))
 
 
 def test_construct_dagger_realizes_constraints():
@@ -304,13 +304,12 @@ def test_sample_approx_zero_bias_invariants():
 
 
 def test_batch_matches_scalar_construction():
-    """The vectorized surgery reproduces construct_dagger exactly on a
-    shared randomness stream, on both the table and sequential routes."""
+    """The batch surgery reproduces construct_dagger exactly on a shared
+    randomness stream, at n = 8 and n = 13."""
     for n, theta in ((8, 1.0), (13, 1.7)):
         params = EwensParams(n=n, theta=theta)
         A = random_centered(n, theta, 80 + n)
         sampler = SquareBiasSampler(A, params)
-        assert sampler.use_tables == (n <= MAX_TABLE_N)
         count = 60
         out = sample_zero_bias_batch(
             A, params, count, seed=np.random.default_rng([1, n]), sampler=sampler
@@ -344,5 +343,4 @@ def test_batch_respects_gap_bound():
 
 
 def test_caps_are_what_they_claim():
-    assert MAX_TABLE_N == 12
     assert MAX_JOINT_N == 6

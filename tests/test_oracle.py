@@ -1,12 +1,15 @@
+import ast
 import math
 import threading
 from itertools import chain, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ewens_stein
 from ewens_stein.ewens import EwensParams, c1_moments, ewens_pmf, rising_factorial
 from ewens_stein.oracle import (
     ATOM_MERGE_TOL,
@@ -415,3 +418,50 @@ def test_square_bias_law_matches_definition():
             key=lambda t: abs(law.values[t][0] - y1) + abs(law.values[t][1] - y2),
         )
         assert law.probs[idx] == pytest.approx(w / total, rel=1e-10)
+
+
+def enumeration_uses(tree):
+    """Names in a module's syntax tree that import, define or reference the
+    oracle's enumerators or itertools.permutations."""
+    enumerators = {"iter_case_configs", "enumerate_permutations"}
+    itertools_names = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            itertools_names |= {a.asname or a.name for a in node.names if a.name == "itertools"}
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if a.name in enumerators or (node.module == "itertools" and a.name == "permutations"):
+                    found.append(f"imports {a.name}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in enumerators:
+                found.append(f"defines {node.name}")
+        elif isinstance(node, ast.Name) and node.id in enumerators:
+            found.append(f"references {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in enumerators:
+            found.append(f"references .{node.attr}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "permutations"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in itertools_names
+        ):
+            found.append("references itertools.permutations")
+    return found
+
+
+def test_enumeration_lives_only_in_the_oracle():
+    """Brute-force enumeration is ground truth for the tests, never a
+    production route: no module but oracle.py touches it."""
+    package = Path(ewens_stein.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "oracle.py")
+    assert len(modules) >= 9
+    offenders = {
+        p.name: uses
+        for p in modules
+        if (uses := enumeration_uses(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+    oracle_tree = ast.parse((package / "oracle.py").read_text(encoding="utf-8"))
+    assert "defines iter_case_configs" in enumeration_uses(oracle_tree)

@@ -10,6 +10,7 @@ from ewens_stein.oracle import (
     exact_expectation,
     exact_remainder,
     exact_statistic_law,
+    iter_case_configs,
 )
 from ewens_stein.permutations import Permutation
 from ewens_stein.statistic import (
@@ -21,7 +22,6 @@ from ewens_stein.statistic import (
     center,
     classify,
     grand_mean,
-    iter_case_configs,
     remainder_bounds,
     sigma_squared,
     statistic,
