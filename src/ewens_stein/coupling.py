@@ -1,13 +1,16 @@
-"""Stein pairs, square-bias index/configuration sampling, and the
-approximate zero-bias coupling.
+"""Square-bias index/configuration sampling and the approximate zero-bias
+coupling.
 
-The pipeline: an exchangeable pair (Y', Y'') comes from conjugating an
-Ewens permutation by a uniformly chosen transposition; reweighting the
-pair law by (y'-y'')^2 gives the square-bias pair (Y†, Y‡), realized
-constructively by sampling an index pair, then pre/post-image constraints,
-then surgically editing the original permutation to satisfy them; finally
-Y* = U Y† + (1-U) Y‡ is the approximate zero-bias variable, coupled close
-to Y' (within 20 M).
+The exchangeable pair (Y', Y'') conjugates an Ewens permutation pi' by a
+uniformly chosen transposition (i j); reweighting its law by (y'-y'')^2
+gives the square-bias pair (Y†, Y‡).  ``SquareBiasSampler`` draws that
+pair's randomness in closed form: the index pair (I†, J†), then the
+pre/post-image constraints pi(r)=i, pi(s)=j, pi(i)=k, pi(j)=l.
+``sample_zero_bias_batch`` draws pi' from the CRP, deletes
+D = {i, j, r, s} from its cycles and reinserts them to realize the
+constraints, working on image and inverse arrays, and returns
+Y* = U Y† + (1-U) Y‡, which lies within 20 M of Y'.  The Permutation-level
+reference for that surgery is ``oracle.construct_dagger``.
 """
 
 from __future__ import annotations
@@ -17,34 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ewens import (
-    EwensParams,
-    constrained_prob,
-    falling_factorial,
-    sample_crp,
-    sample_crp_images,
-)
-from .permutations import Permutation, reduce_delete
+from .ewens import EwensParams, falling_factorial, sample_crp_images
 from .statistic import (
     SQUARE_BIAS_BUCKETS,
     DegenerateError,
     ScoreMatrix,
     _bucket_weights,
     _case_constraints,
+    _check_case_args,
     _pair_sums,
     b_value,
-    statistic,
 )
 
 __all__ = [
-    "SteinPairSample",
     "SquareBiasConfig",
-    "CouplingSample",
-    "make_stein_pair",
     "index_square_bias_weights",
     "SquareBiasSampler",
-    "construct_dagger",
-    "sample_approx_zero_bias",
     "sample_zero_bias_batch",
 ]
 
@@ -52,50 +43,6 @@ def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-# ---------------------------------------------------------------------------
-# Stein pair
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SteinPairSample:
-    """One draw of the exchangeable pair: pi_double = tau pi_prime tau."""
-
-    pi_prime: Permutation
-    i: int
-    j: int
-    pi_double: Permutation
-    y_prime: float
-    y_double: float
-
-
-def make_stein_pair(A: ScoreMatrix, perm: Permutation, seed=None) -> SteinPairSample:
-    """Conjugate perm by a uniformly random transposition (I, J).
-
-    The pair (Y', Y'') built this way is exchangeable with lambda = 4/n:
-    E[Y''|Y'] = (1 - 4/n) Y' + R(Y').
-    """
-    n = A.n
-    if n < 6:
-        raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
-    if perm.n != n:
-        raise ValueError(f"permutation of [{perm.n}] vs matrix of size {n}")
-    rng = _as_rng(seed)
-    i = int(rng.integers(1, n + 1))
-    j = int(rng.integers(1, n))
-    if j >= i:
-        j += 1
-    double = perm.conjugate_by_transposition(i, j)
-    return SteinPairSample(
-        pi_prime=perm,
-        i=i,
-        j=j,
-        pi_double=double,
-        y_prime=statistic(A, perm),
-        y_double=statistic(A, double),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +55,7 @@ class SquareBiasConfig:
     """A sampled index pair with pre/post-image constraints.
 
     r, s are the required pre-images of i, j; k, l the required images.
-    weight is the configuration's unnormalized mass b^2 * P(constraints).
+    b = Y† - Y‡ is the configuration's signed difference, never zero.
     """
 
     i: int
@@ -118,15 +65,13 @@ class SquareBiasConfig:
     k: int
     l: int
     case: str
-    weight: float
+    b: float
 
     def __post_init__(self) -> None:
-        from .statistic import _check_case_args
-
         _check_case_args(self.case, self.i, self.j, self.r, self.s, self.k, self.l)
-        if not self.weight > 0.0:
+        if not abs(self.b) > 0.0:
             raise ValueError(
-                f"square-bias configurations carry positive weight; got {self.weight}"
+                f"square-bias configurations carry nonzero b; got {self.b}"
             )
 
     def constraint_map(self) -> dict[int, int]:
@@ -134,24 +79,6 @@ class SquareBiasConfig:
 
     def deleted_labels(self) -> frozenset[int]:
         return frozenset((self.i, self.j, self.r, self.s))
-
-
-def _config_weight(
-    A: ScoreMatrix,
-    params: EwensParams,
-    i: int,
-    j: int,
-    case: str,
-    r: int,
-    s: int,
-    k: int,
-    l: int,
-) -> float:
-    b = b_value(i, j, r, s, k, l, case, A)
-    if b == 0.0:
-        return 0.0
-    pm = _case_constraints(i, j, r, s, k, l)
-    return b * b * constrained_prob(pm, params)
 
 
 def index_square_bias_weights(
@@ -209,6 +136,7 @@ class SquareBiasSampler:
         self.pair_weights = W
         self._pair_cum = np.cumsum(W.ravel())
         self._total = self._pair_cum[-1]
+        self._labels = np.arange(1, self.n + 1, dtype=np.intp)
         self._buckets: dict[tuple[int, int], tuple] = {}
 
     # -- pair level --------------------------------------------------------
@@ -226,11 +154,8 @@ class SquareBiasSampler:
         key = (i, j)
         ctx = self._buckets.get(key)
         if ctx is None:
-            n = self.n
             centered = self.A.centered
-            pool = np.array(
-                [x for x in range(1, n + 1) if x != i and x != j], dtype=np.intp
-            )
+            pool = np.delete(self._labels, (i - 1, j - 1))
             u = centered[pool - 1, i - 1] - centered[pool - 1, j - 1]
             c, q1, q2 = (float(stat[i - 1, j - 1]) for stat in self._stats)
             cum = np.cumsum(_bucket_weights(self._sums, self.params, (i - 1, j - 1)))
@@ -382,167 +307,12 @@ class SquareBiasSampler:
         self, i: int, j: int, rng: np.random.Generator
     ) -> SquareBiasConfig:
         case, r, s, k, l = self._sample_sequential(i, j, rng)
-        w = _config_weight(self.A, self.params, i, j, case, r, s, k, l)
-        return SquareBiasConfig(i=i, j=j, r=r, s=s, k=k, l=l, case=case, weight=w)
+        b = b_value(i, j, r, s, k, l, case, self.A)
+        return SquareBiasConfig(i=i, j=j, r=r, s=s, k=k, l=l, case=case, b=b)
 
     def sample(self, rng: np.random.Generator) -> SquareBiasConfig:
         i, j = self.sample_pair(rng)
         return self.sample_config(i, j, rng)
-
-
-# ---------------------------------------------------------------------------
-# The dagger construction
-# ---------------------------------------------------------------------------
-
-
-def _realize(rho: dict[int, int], C: dict[int, int], n: int) -> Permutation:
-    """Insert the constraint map C into the reduced permutation rho.
-
-    rho is a permutation of the survivors [n] minus the deleted labels;
-    every deleted label is a source of C.  Components of C that close into
-    cycles are inserted as new cycles; components that end at a survivor t
-    are spliced in front of t (the survivor previously mapping to t now
-    maps to the chain's head).  Chains are processed in sorted-head order;
-    their ends are distinct so the insertions commute.
-    """
-    image = dict(rho)
-    values = set(C.values())
-    rho_inv = {v: k for k, v in rho.items()}
-    visited: set[int] = set()
-    for head in sorted(x for x in C if x not in values):
-        x = head
-        while x in C:
-            image[x] = C[x]
-            visited.add(x)
-            x = C[x]
-        image[rho_inv[x]] = head
-    for start in sorted(C):
-        if start in visited:
-            continue
-        x = start
-        while x not in visited:
-            image[x] = C[x]
-            visited.add(x)
-            x = C[x]
-    return Permutation([image[x] for x in range(1, n + 1)])
-
-
-def construct_dagger(pi: Permutation, config: SquareBiasConfig) -> Permutation:
-    """Edit pi to satisfy the sampled constraints, leaving the rest intact.
-
-    The distinct members of D = {i, j, r, s} are deleted from pi's cycle
-    representation and reinserted to realize {pi(r)=i, pi(s)=j, pi(i)=k,
-    pi(j)=l}; all other elements keep their (reduced) images, so
-    reduce_delete(pi, D) == reduce_delete(pi_dagger, D).
-    """
-    n = pi.n
-    D = config.deleted_labels()
-    C = config.constraint_map()
-    rho = reduce_delete(pi, D)
-    dagger = _realize(rho, C, n)
-    if (
-        dagger(config.r) != config.i
-        or dagger(config.s) != config.j
-        or dagger(config.i) != config.k
-        or dagger(config.j) != config.l
-    ):
-        raise RuntimeError(f"construction failed to realize constraints {C}")
-    if reduce_delete(dagger, D) != rho:
-        raise RuntimeError(
-            "construction disturbed the permutation outside the deleted labels"
-        )
-    diffs = sum(1 for x in range(1, n + 1) if dagger(x) != pi(x))
-    if diffs > 10:
-        raise RuntimeError(
-            f"construction changed {diffs} positions; the case bound is 10"
-        )
-    return dagger
-
-
-# ---------------------------------------------------------------------------
-# The approximate zero-bias coupling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouplingSample:
-    """One realization of (Y', Y†, Y‡, Y*) with its audit trail."""
-
-    pi: Permutation
-    config: SquareBiasConfig
-    pi_dagger: Permutation
-    pi_ddagger: Permutation
-    u: float
-    y_prime: float
-    y_dagger: float
-    y_ddagger: float
-    y_star: float
-
-    def to_json(self) -> dict:
-        cfg = self.config
-        return {
-            "pi": self.pi.to_list(),
-            "i": cfg.i,
-            "j": cfg.j,
-            "r": cfg.r,
-            "s": cfg.s,
-            "k": cfg.k,
-            "l": cfg.l,
-            "case": cfg.case,
-            "u": self.u,
-            "y_prime": self.y_prime,
-            "y_dagger": self.y_dagger,
-            "y_ddagger": self.y_ddagger,
-            "y_star": self.y_star,
-        }
-
-
-def sample_approx_zero_bias(
-    A: ScoreMatrix,
-    params: EwensParams,
-    seed=None,
-    *,
-    sampler: SquareBiasSampler | None = None,
-) -> CouplingSample:
-    """Draw one coupled sample (pi, config, pi†, pi‡, U, Y', Y†, Y‡, Y*).
-
-    All coupling invariants are enforced: the conjugation relation, the
-    interpolation identity, the reduce_delete equality (inside
-    construct_dagger), and the 20 M closeness bound.
-    """
-    rng = _as_rng(seed)
-    if sampler is None:
-        sampler = SquareBiasSampler(A, params)
-    pi = sample_crp(params, rng)
-    config = sampler.sample(rng)
-    dagger = construct_dagger(pi, config)
-    ddagger = dagger.conjugate_by_transposition(config.i, config.j)
-    u = float(rng.random())
-    y_prime = statistic(A, pi)
-    y_dagger = statistic(A, dagger)
-    y_ddagger = statistic(A, ddagger)
-    y_star = u * y_dagger + (1.0 - u) * y_ddagger
-    if y_dagger == y_ddagger:
-        raise RuntimeError(
-            "square-bias sample produced equal statistics; weight should vanish there"
-        )
-    gap = abs(y_star - y_prime)
-    limit = 20.0 * A.max_abs
-    if gap > limit + 1e-9 * max(limit, 1.0):
-        raise RuntimeError(
-            f"coupling gap {gap} exceeds the 20 M bound {limit}"
-        )
-    return CouplingSample(
-        pi=pi,
-        config=config,
-        pi_dagger=dagger,
-        pi_ddagger=ddagger,
-        u=u,
-        y_prime=y_prime,
-        y_dagger=y_dagger,
-        y_ddagger=y_ddagger,
-        y_star=y_star,
-    )
 
 
 def sample_zero_bias_batch(
@@ -553,11 +323,12 @@ def sample_zero_bias_batch(
     *,
     sampler: SquareBiasSampler | None = None,
 ) -> dict[str, np.ndarray]:
-    """Zero-bias sampling returning arrays of the four statistics.
+    """Zero-bias sampling returning arrays of Y', Y†, Y‡, Y* and U.
 
-    Identical in law to repeated sample_approx_zero_bias but avoids
-    materializing Permutation objects: the permutation surgery touches at
-    most 10 positions, so Y† is computed incrementally from Y'.
+    Each row edits a CRP permutation in place of building a Permutation
+    object: the surgery touches at most 10 positions, so Y† is computed
+    incrementally from Y', and Y‡ = Y† - b.  ``oracle.construct_dagger``
+    is the Permutation-level reference for the edit.
     """
     rng = _as_rng(seed)
     if sampler is None:
@@ -581,9 +352,8 @@ def sample_zero_bias_batch(
         img = images[t]
         inv = inverses[t]
         config = sampler.sample(rng)
-        D = (config.i, config.j, config.r, config.s)
-        Dset = set(D)
-        C = _case_constraints(config.i, config.j, config.r, config.s, config.k, config.l)
+        Dset = config.deleted_labels()
+        C = config.constraint_map()
         change: dict[int, int] = {}
         # survivors that pointed into D now skip through it
         for d in Dset:
@@ -620,13 +390,9 @@ def sample_zero_bias_batch(
             rows_c[x - 1][new - 1] - rows_c[x - 1][img[x - 1] - 1]
             for x, new in change.items()
         )
-        b = b_value(
-            config.i, config.j, config.r, config.s, config.k, config.l,
-            config.case, A,
-        )
         u = float(rng.random())
         y_dagger[t] = yd
-        y_ddagger[t] = yd - b
+        y_ddagger[t] = yd - config.b
         us[t] = u
     y_star = us * y_dagger + (1.0 - us) * y_ddagger
     gaps = np.abs(y_star - y_prime)

@@ -30,7 +30,6 @@ __all__ = [
     "ewens_pmf",
     "ewens_log_pmf",
     "cycle_type_pmf",
-    "sample_crp",
     "sample_crp_images",
     "constrained_prob",
     "conditional_remaining_prob",
@@ -123,11 +122,6 @@ def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
         if c:
             p *= theta**c / (j**c * math.factorial(c))
     return p
-
-
-def sample_crp(params: EwensParams, rng: np.random.Generator) -> Permutation:
-    """One Ewens(theta) draw: sample_crp_images with a batch of one."""
-    return Permutation(sample_crp_images(params, rng, 1)[0].tolist())
 
 
 def sample_crp_images(

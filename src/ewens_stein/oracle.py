@@ -16,7 +16,11 @@ for the joint square-bias law (720 permutations x 30 index pairs).
 sums behind the variance decomposition and the index-pair weights;
 ``constructive_square_bias_law`` enumerates the randomness of the
 coupling's own construction, so that it can be compared with
-``exact_square_bias_law``.
+``exact_square_bias_law``.  The coupling's references live here too:
+``construct_dagger`` and ``_realize`` redo the batch's delete-and-reinsert
+surgery on ``Permutation`` objects, checking every invariant it promises,
+and ``_config_weight`` gives a configuration's exact mass
+b^2 * P(constraints).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .coupling import _config_weight, _realize, index_square_bias_weights
-from .ewens import EwensParams, ewens_pmf, rising_factorial
+from .coupling import SquareBiasConfig, index_square_bias_weights
+from .ewens import EwensParams, constrained_prob, ewens_pmf, rising_factorial
 from .permutations import Permutation, reduce_delete
 from .statistic import (
     CASE_LABELS,
@@ -53,6 +57,7 @@ __all__ = [
     "exact_square_bias_law",
     "exact_remainder",
     "constructive_square_bias_law",
+    "construct_dagger",
     "iter_case_configs",
 ]
 
@@ -575,3 +580,85 @@ def constructive_square_bias_law(A: ScoreMatrix, params: EwensParams) -> Discret
                     values.append((y_d, y_dd))
                     weights.append(w / total * p_rho)
     return DiscreteLaw(values, weights, normalize=True)
+
+
+def _config_weight(
+    A: ScoreMatrix,
+    params: EwensParams,
+    i: int,
+    j: int,
+    case: str,
+    r: int,
+    s: int,
+    k: int,
+    l: int,
+) -> float:
+    b = b_value(i, j, r, s, k, l, case, A)
+    if b == 0.0:
+        return 0.0
+    pm = _case_constraints(i, j, r, s, k, l)
+    return b * b * constrained_prob(pm, params)
+
+
+def _realize(rho: dict[int, int], C: dict[int, int], n: int) -> Permutation:
+    """Insert the constraint map C into the reduced permutation rho.
+
+    rho is a permutation of the survivors [n] minus the deleted labels;
+    every deleted label is a source of C.  Components of C that close into
+    cycles are inserted as new cycles; components that end at a survivor t
+    are spliced in front of t (the survivor previously mapping to t now
+    maps to the chain's head).  Chains are processed in sorted-head order;
+    their ends are distinct so the insertions commute.
+    """
+    image = dict(rho)
+    values = set(C.values())
+    rho_inv = {v: k for k, v in rho.items()}
+    visited: set[int] = set()
+    for head in sorted(x for x in C if x not in values):
+        x = head
+        while x in C:
+            image[x] = C[x]
+            visited.add(x)
+            x = C[x]
+        image[rho_inv[x]] = head
+    for start in sorted(C):
+        if start in visited:
+            continue
+        x = start
+        while x not in visited:
+            image[x] = C[x]
+            visited.add(x)
+            x = C[x]
+    return Permutation([image[x] for x in range(1, n + 1)])
+
+
+def construct_dagger(pi: Permutation, config: SquareBiasConfig) -> Permutation:
+    """Edit pi to satisfy the sampled constraints, leaving the rest intact.
+
+    The distinct members of D = {i, j, r, s} are deleted from pi's cycle
+    representation and reinserted to realize {pi(r)=i, pi(s)=j, pi(i)=k,
+    pi(j)=l}; all other elements keep their (reduced) images, so
+    reduce_delete(pi, D) == reduce_delete(pi_dagger, D).
+    """
+    n = pi.n
+    D = config.deleted_labels()
+    C = config.constraint_map()
+    rho = reduce_delete(pi, D)
+    dagger = _realize(rho, C, n)
+    if (
+        dagger(config.r) != config.i
+        or dagger(config.s) != config.j
+        or dagger(config.i) != config.k
+        or dagger(config.j) != config.l
+    ):
+        raise RuntimeError(f"construction failed to realize constraints {C}")
+    if reduce_delete(dagger, D) != rho:
+        raise RuntimeError(
+            "construction disturbed the permutation outside the deleted labels"
+        )
+    diffs = sum(1 for x in range(1, n + 1) if dagger(x) != pi(x))
+    if diffs > 10:
+        raise RuntimeError(
+            f"construction changed {diffs} positions; the case bound is 10"
+        )
+    return dagger

@@ -8,11 +8,7 @@ from chisquare import chi2_upper_quantile, pearson_chi2, pool_cells
 from ewens_stein.coupling import (
     SquareBiasConfig,
     SquareBiasSampler,
-    _config_weight,
-    construct_dagger,
     index_square_bias_weights,
-    make_stein_pair,
-    sample_approx_zero_bias,
     sample_zero_bias_batch,
 )
 from ewens_stein.ewens import (
@@ -23,12 +19,14 @@ from ewens_stein.ewens import (
 )
 from ewens_stein.oracle import (
     MAX_JOINT_N,
+    _config_weight,
     _pair_case_sums_direct,
+    construct_dagger,
     constructive_square_bias_law,
     exact_square_bias_law,
     iter_case_configs,
 )
-from ewens_stein.permutations import Permutation, cycle_type, reduce_delete
+from ewens_stein.permutations import Permutation, reduce_delete
 from ewens_stein.statistic import (
     DegenerateError,
     _pair_case_sums,
@@ -46,45 +44,15 @@ def random_centered(n, theta, seed):
     return center((raw + raw.T) / 2.0, EwensParams(n=n, theta=theta))
 
 
-def test_make_stein_pair_consistency():
-    n = 7
-    A = random_centered(n, 1.0, 1)
-    pi = Permutation([3, 1, 2, 5, 4, 7, 6])
-    seen = set()
-    for t in range(800):
-        s = make_stein_pair(A, pi, seed=t)
-        assert s.pi_prime == pi
-        assert s.pi_double == pi.conjugate_by_transposition(s.i, s.j)
-        assert s.y_prime == statistic(A, pi)
-        assert s.y_double == pytest.approx(statistic(A, s.pi_double))
-        assert 1 <= s.i <= n and 1 <= s.j <= n and s.i != s.j
-        seen.add((s.i, s.j))
-    # all 42 ordered pairs occur in 800 draws
-    assert len(seen) == n * (n - 1)
-
-
-def test_make_stein_pair_preserves_cycle_type():
-    A = random_centered(6, 1.0, 2)
-    pi = Permutation.from_cycles(6, [(1, 2, 3), (4, 5)])
-    for t in range(50):
-        s = make_stein_pair(A, pi, seed=t)
-        assert cycle_type(s.pi_double) == cycle_type(pi)
-
-
-def test_make_stein_pair_size_guard():
-    A = random_centered(6, 1.0, 3)
-    with pytest.raises(ValueError):
-        make_stein_pair(A, Permutation([2, 1, 3]), seed=0)
-
-
 def test_square_bias_config_validation():
-    cfg = SquareBiasConfig(i=1, j=2, r=3, s=4, k=3, l=5, case="A5_2", weight=0.1)
+    cfg = SquareBiasConfig(i=1, j=2, r=3, s=4, k=3, l=5, case="A5_2", b=-0.1)
     assert cfg.constraint_map() == {3: 1, 4: 2, 1: 3, 2: 5}
     assert cfg.deleted_labels() == frozenset({1, 2, 3, 4})
-    with pytest.raises(ValueError, match="positive weight"):
-        SquareBiasConfig(i=1, j=2, r=3, s=4, k=3, l=5, case="A5_2", weight=0.0)
+    for b in (0.0, -0.0, float("nan")):
+        with pytest.raises(ValueError, match="nonzero b"):
+            SquareBiasConfig(i=1, j=2, r=3, s=4, k=3, l=5, case="A5_2", b=b)
     with pytest.raises(ValueError, match="inconsistent with case"):
-        SquareBiasConfig(i=1, j=2, r=3, s=4, k=5, l=6, case="A5_1", weight=0.1)
+        SquareBiasConfig(i=1, j=2, r=3, s=4, k=5, l=6, case="A5_1", b=0.1)
 
 
 def test_index_weights_sum_to_ydiff():
@@ -173,9 +141,8 @@ def test_sampled_configs_have_positive_exact_weight():
         cfg = sampler.sample(rng)
         assert cfg.case in ("A1", "A2", "A3", "A4", "A5_1", "A5_2", "A5_3", "A5_4")
         b = b_value(cfg.i, cfg.j, cfg.r, cfg.s, cfg.k, cfg.l, cfg.case, A)
-        w = b * b * constrained_prob(cfg.constraint_map(), params)
-        assert w > 0.0
-        assert cfg.weight == pytest.approx(w, rel=1e-12)
+        assert cfg.b == b
+        assert b * b * constrained_prob(cfg.constraint_map(), params) > 0.0
 
 
 def test_sequential_route_samples_the_same_law():
@@ -216,7 +183,7 @@ def test_sample_config_draws_for_the_given_pair():
     sampler = SquareBiasSampler(A, params)
     cfg = sampler.sample_config(2, 5, np.random.default_rng(0))
     assert (cfg.i, cfg.j) == (2, 5)
-    assert cfg.weight > 0
+    assert cfg.b == b_value(2, 5, cfg.r, cfg.s, cfg.k, cfg.l, cfg.case, A) != 0.0
 
 
 def test_sample_config_zero_weight_pair():
@@ -258,7 +225,7 @@ def test_construct_dagger_hand_example():
     # pi = (1 2 3 4 5)(6 7 8); force pi(1) = 3 with 2 = pre(1), 4 = pre(5)... :
     # config in case A5_4 with i=1, j=5, r=2, s=4, k=3, l=6
     pi = Permutation.from_cycles(8, [(1, 2, 3, 4, 5), (6, 7, 8)])
-    cfg = SquareBiasConfig(i=1, j=5, r=2, s=4, k=3, l=6, case="A5_4", weight=1.0)
+    cfg = SquareBiasConfig(i=1, j=5, r=2, s=4, k=3, l=6, case="A5_4", b=1.0)
     dagger = construct_dagger(pi, cfg)
     assert dagger(2) == 1 and dagger(1) == 3
     assert dagger(4) == 5 and dagger(5) == 6
@@ -279,37 +246,15 @@ def test_constructive_law_matches_oracle():
         constructive_square_bias_law(random_centered(7, 1.0, 62), EwensParams(n=7, theta=1.0))
 
 
-def test_sample_approx_zero_bias_invariants():
-    n = 7
-    params = EwensParams(n=n, theta=1.6)
-    A = random_centered(n, 1.6, 71)
-    sampler = SquareBiasSampler(A, params)
-    limit = 20.0 * A.max_abs
-    for t in range(200):
-        s = sample_approx_zero_bias(A, params, seed=t, sampler=sampler)
-        assert 0.0 <= s.u <= 1.0
-        assert s.y_star == pytest.approx(
-            s.u * s.y_dagger + (1.0 - s.u) * s.y_ddagger
-        )
-        assert s.y_prime == pytest.approx(statistic(A, s.pi))
-        assert s.y_dagger == pytest.approx(statistic(A, s.pi_dagger))
-        assert s.pi_ddagger == s.pi_dagger.conjugate_by_transposition(
-            s.config.i, s.config.j
-        )
-        assert s.y_dagger != s.y_ddagger
-        assert abs(s.y_star - s.y_prime) <= limit * (1.0 + 1e-9)
-        js = s.to_json()
-        assert js["pi"] == s.pi.to_list()
-        assert js["case"] == s.config.case
-
-
 def test_batch_matches_scalar_construction():
-    """The batch surgery reproduces construct_dagger exactly on a shared
-    randomness stream, at n = 8 and n = 13."""
+    """The batch surgery reproduces the oracle's construct_dagger exactly on
+    a shared randomness stream, at n = 8 and n = 13, and every row keeps the
+    coupling's invariants."""
     for n, theta in ((8, 1.0), (13, 1.7)):
         params = EwensParams(n=n, theta=theta)
         A = random_centered(n, theta, 80 + n)
         sampler = SquareBiasSampler(A, params)
+        limit = 20.0 * A.max_abs
         count = 60
         out = sample_zero_bias_batch(
             A, params, count, seed=np.random.default_rng([1, n]), sampler=sampler
@@ -330,6 +275,42 @@ def test_batch_matches_scalar_construction():
             assert out["y_ddagger"][t] == pytest.approx(
                 statistic(A, ddagger), abs=1e-12
             )
+            yp, yd, ydd, ys = (
+                out[key][t] for key in ("y_prime", "y_dagger", "y_ddagger", "y_star")
+            )
+            assert 0.0 <= u <= 1.0
+            assert ys == pytest.approx(u * yd + (1.0 - u) * ydd)
+            assert yd != ydd
+            assert yd - ydd == pytest.approx(cfg.b, abs=1e-12)
+            assert abs(ys - yp) <= limit * (1.0 + 1e-9)
+
+
+def test_batch_draws_the_square_bias_law():
+    """Pearson chi^2 of the batch's own (Y†, Y‡) pairs against the exact
+    square-bias law at n = 6, cells pooled to an expected count of at least
+    5, rejected above the null upper 1e-6 quantile.  On an integer matrix
+    Y + n * grand_mean is an integer, which keys every atom exactly."""
+    n, theta, rows = 6, 1.4, 100_000
+    params = EwensParams(n=n, theta=theta)
+    raw = np.random.default_rng(17).integers(0, 3, (n, n))
+    A = center((raw + raw.T).astype(float), params)
+    law = exact_square_bias_law(A.centered, params)
+    shift = n * A.grand_mean
+    exact = law.values_array() + shift
+    keys = np.rint(exact).astype(np.int64)
+    assert np.abs(exact - keys).max() < 1e-9
+    index = {key: t for t, key in enumerate(map(tuple, keys.tolist()))}
+    assert len(index) == len(keys)
+    out = sample_zero_bias_batch(A, params, rows, seed=19)
+    drawn = np.rint(np.column_stack((out["y_dagger"], out["y_ddagger"])) + shift)
+    cells, hits = np.unique(drawn.astype(np.int64), axis=0, return_counts=True)
+    counts = np.zeros(len(keys))
+    for key, hit in zip(map(tuple, cells.tolist()), hits.tolist()):
+        # a pair outside the exact support raises KeyError here
+        counts[index[key]] += hit
+    pooled_counts, pooled_probs = pool_cells(counts, law.probs_array(), 5.0)
+    threshold = chi2_upper_quantile(len(pooled_probs) - 1, 1e-6)
+    assert pearson_chi2(pooled_counts, pooled_probs) <= threshold
 
 
 def test_batch_respects_gap_bound():

@@ -15,7 +15,6 @@ from ewens_stein.ewens import (
     ewens_pmf,
     falling_factorial,
     rising_factorial,
-    sample_crp,
     sample_crp_images,
 )
 from ewens_stein.oracle import enumerate_permutations
@@ -107,22 +106,13 @@ def test_crp_law_matches_pmf():
     counts = {}
     draws = 60_000
     for _ in range(draws):
-        img = sample_crp(params, rng).image
+        img = tuple(sample_crp_images(params, rng, 1)[0].tolist())
         counts[img] = counts.get(img, 0) + 1
     tv = 0.5 * math.fsum(
         abs(counts.get(p.image, 0) / draws - ewens_pmf(p, params))
         for p in enumerate_permutations(4)
     )
     assert tv < 0.02
-
-
-def test_crp_images_batch_single_row_matches_sequential():
-    params = EwensParams(n=9, theta=0.7)
-    for seed in range(5):
-        r1 = np.random.default_rng(seed)
-        r2 = np.random.default_rng(seed)
-        row = sample_crp_images(params, r1, 1)[0]
-        assert tuple(int(x) for x in row) == sample_crp(params, r2).image
 
 
 def test_crp_images_shape_and_validity():
@@ -185,7 +175,7 @@ def test_crp_clamps_insertion_point_at_rounding_edge(theta):
     params = EwensParams(n=n, theta=theta)
     # every step inserts after z = m - 1, which chains 1..n into one n-cycle
     cycle = tuple(range(2, n + 1)) + (1,)
-    assert sample_crp(params, TopUniform()).image == cycle
+    assert tuple(sample_crp_images(params, TopUniform(), 1)[0].tolist()) == cycle
     rows = sample_crp_images(params, TopUniform(), 3)
     assert [tuple(int(x) for x in row) for row in rows] == [cycle] * 3
     if theta == 0.3:
