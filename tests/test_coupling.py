@@ -246,6 +246,44 @@ def test_constructive_law_matches_oracle():
         constructive_square_bias_law(random_centered(7, 1.0, 62), EwensParams(n=7, theta=1.0))
 
 
+def test_sample_approx_zero_bias_invariants():
+    """At n = 7 every row of the batch keeps the coupling's invariants,
+    checked against the permutations the oracle builds from the same stream:
+    Y' and Y† are the statistic at pi and pi†, pi‡ is pi† conjugated by
+    (i, j), Y* lies between Y† and Y‡, and |Y* - Y'| stays within the gap
+    bound."""
+    n = 7
+    params = EwensParams(n=n, theta=1.6)
+    A = random_centered(n, 1.6, 71)
+    sampler = SquareBiasSampler(A, params)
+    limit = 20.0 * A.max_abs
+    count = 200
+    out = sample_zero_bias_batch(
+        A, params, count, seed=np.random.default_rng(71), sampler=sampler
+    )
+    rng = np.random.default_rng(71)
+    images = sample_crp_images(params, rng, count)
+    for t in range(count):
+        cfg = sampler.sample(rng)
+        u = float(rng.random())
+        pi = Permutation([int(v) for v in images[t]])
+        pi_dagger = construct_dagger(pi, cfg)
+        pi_ddagger = pi_dagger.conjugate_by_transposition(cfg.i, cfg.j)
+        yp, yd, ydd, ys = (
+            out[key][t] for key in ("y_prime", "y_dagger", "y_ddagger", "y_star")
+        )
+        assert out["u"][t] == u
+        assert 0.0 <= u <= 1.0
+        assert ys == pytest.approx(u * yd + (1.0 - u) * ydd)
+        assert yp == pytest.approx(statistic(A, pi))
+        assert yd == pytest.approx(statistic(A, pi_dagger))
+        assert ydd == pytest.approx(statistic(A, pi_ddagger))
+        assert pi_ddagger != pi_dagger
+        assert yd != ydd
+        assert abs(ys - yp) <= limit * (1.0 + 1e-9)
+        assert classify(cfg.i, cfg.j, pi_dagger) == cfg.case
+
+
 def test_batch_matches_scalar_construction():
     """The batch surgery reproduces the oracle's construct_dagger exactly on
     a shared randomness stream, at n = 8 and n = 13, and every row keeps the
