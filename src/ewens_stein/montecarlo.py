@@ -5,12 +5,13 @@ differing by at most one; each chunk gets an independent generator spawned
 from the master seed, and results are combined in chunk order.  The
 output is therefore identical for any worker count: threads change
 wall-clock time, never the numbers.  EWENS_STEIN_THREADS caps the
-worker pool.
+worker pool, which is made on first use and kept for the process.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -28,6 +29,26 @@ DEFAULT_CHUNK = 65_536
 
 T = TypeVar("T")
 
+# (size, pool) of the process's worker pool, made by the first parallel call
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads, and the parent's
+    # lock may have been held by one of them at the fork
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
 
 def worker_count() -> int:
     env = os.environ.get("EWENS_STEIN_THREADS")
@@ -38,7 +59,8 @@ def worker_count() -> int:
             raise ValueError(
                 f"EWENS_STEIN_THREADS must be an integer, got {env!r}"
             ) from None
-    return min(os.cpu_count() or 1, 8)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(usable or 1, 8)
 
 
 def chunk_counts(total: int, chunk_size: int) -> list[int]:
@@ -68,19 +90,32 @@ def map_chunks(
     longer than another.  Each chunk's generator is spawned from
     SeedSequence(seed), so the partition — and hence every number produced
     — depends only on (total, seed, chunk_size), never on scheduling.
+
+    Chunks run on one pool per process, of worker_count() threads; it is
+    replaced when that count changes and in a forked child.  A call made
+    from a pool thread, or with one worker or one chunk, runs inline.
     """
     counts = chunk_counts(total, chunk_size)
     if not counts:
         return []
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(len(counts))
-    workers = min(worker_count(), len(counts))
-    if workers == 1:
-        return [fn(np.random.default_rng(c), k) for c, k in zip(children, counts)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda arg: fn(np.random.default_rng(arg[0]), arg[1]), zip(children, counts))
-        )
+    workers = worker_count()
+
+    def draw(c, k):
+        return fn(np.random.default_rng(c), k)
+
+    if min(workers, len(counts)) == 1 or getattr(_pool_thread, "active", False):
+        return list(map(draw, children, counts))
+    global _pool
+    # one lock over lookup and submissions: no caller shuts the pool down between them
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (workers, ThreadPoolExecutor(workers, initializer=_mark_pool_thread))
+        futures = [_pool[1].submit(draw, c, k) for c, k in zip(children, counts)]
+    return [f.result() for f in futures]
 
 
 def sample_statistic_batch(A, params, total: int, seed) -> np.ndarray:

@@ -1,4 +1,10 @@
+import multiprocessing
 import os
+import queue
+import subprocess
+import sys
+import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -90,6 +96,24 @@ def test_worker_count_default_positive():
             os.environ["EWENS_STEIN_THREADS"] = old
 
 
+@pytest.mark.parametrize("cpus, expected", [({0, 1, 2}, 3), (set(range(16)), 8)])
+def test_worker_count_default_is_the_usable_cpus(monkeypatch, cpus, expected):
+    monkeypatch.delenv("EWENS_STEIN_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count() == expected
+    monkeypatch.setenv("EWENS_STEIN_THREADS", "5")
+    assert worker_count() == 5
+
+
+@pytest.mark.parametrize("cpus, expected", [(5, 5), (64, 8), (None, 1)])
+def test_worker_count_falls_back_to_cpu_count(monkeypatch, cpus, expected):
+    monkeypatch.delenv("EWENS_STEIN_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert worker_count() == expected
+
+
 def test_worker_count_rejects_non_integer(monkeypatch):
     monkeypatch.setenv("EWENS_STEIN_THREADS", "abc")
     with pytest.raises(ValueError, match="EWENS_STEIN_THREADS must be an integer, got 'abc'"):
@@ -135,3 +159,90 @@ def test_batch_sums_y_in_index_order(n, theta):
         # below 8 terms numpy's row sum adds in index order too
         gathered = A.centered[np.arange(n), np.ascontiguousarray(images) - 1]
         assert np.array_equal(draws, gathered.sum(axis=1))
+
+
+def _pool_threads(workers: int, seed: int):
+    """Draws from workers chunks that must all run at once, and their threads."""
+    barrier = threading.Barrier(workers, timeout=30)
+    threads = []
+
+    def draw(rng, k):
+        threads.append(threading.current_thread())
+        barrier.wait()
+        return rng.random(k)
+
+    parts = map_chunks(workers * 100, draw, seed=seed, chunk_size=100)
+    return np.concatenate(parts).tobytes(), set(threads)
+
+
+def test_map_chunks_keeps_one_pool_per_worker_count(monkeypatch):
+    # thread objects, not get_ident(): the OS reuses an exited thread's ident
+    monkeypatch.setenv("EWENS_STEIN_THREADS", "2")
+    first, threads = _pool_threads(2, seed=3)
+    again, threads_again = _pool_threads(2, seed=3)
+    assert len(threads) == 2 and threading.current_thread() not in threads
+    assert threads_again == threads and again == first
+    monkeypatch.setenv("EWENS_STEIN_THREADS", "3")
+    _, threads_3 = _pool_threads(3, seed=3)
+    assert len(threads_3) == 3 and not threads_3 & threads
+    for workers in ("3", "1", "2"):
+        monkeypatch.setenv("EWENS_STEIN_THREADS", workers)
+        parts = map_chunks(200, lambda rng, k: rng.random(k), seed=3, chunk_size=100)
+        assert np.concatenate(parts).tobytes() == first
+
+
+def test_forked_child_samples_like_its_parent(monkeypatch):
+    monkeypatch.setenv("EWENS_STEIN_THREADS", "2")
+    params = EwensParams(n=6, theta=0.7)
+    raw = np.random.default_rng(8).random((6, 6))
+    A = center((raw + raw.T) / 2, params)
+    total = DEFAULT_CHUNK + 10  # two chunks: the parent's pool is warm at the fork
+    expected = sample_statistic_batch(A, params, total, seed=13)
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(
+        target=lambda: results.put(sample_statistic_batch(A, params, total, seed=13))
+    )
+    child.start()
+    try:
+        draws = results.get(timeout=60)
+    except queue.Empty:
+        draws = None
+    finally:
+        child.join(timeout=5)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=30)
+    assert draws is not None, "forked child did not sample within 60 s"
+    assert child.exitcode == 0
+    assert np.array_equal(draws, expected)
+
+
+NESTED = textwrap.dedent(
+    """
+    import os
+    import numpy as np
+    from ewens_stein.montecarlo import map_chunks
+
+    def outer(rng, k):
+        inner = map_chunks(k, lambda r, m: r.random(m), seed=int(rng.integers(2**32)), chunk_size=50)
+        return np.concatenate(inner)
+
+    runs = []
+    for workers in ("1", "2", "3"):
+        os.environ["EWENS_STEIN_THREADS"] = workers
+        runs.append(np.concatenate(map_chunks(600, outer, seed=5, chunk_size=100)).tobytes())
+    print(runs[0] == runs[1] == runs[2])
+    """
+)
+
+
+def test_nested_map_chunks_runs_inline():
+    # in its own process, so that a deadlock fails the test instead of hanging it
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NESTED], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
