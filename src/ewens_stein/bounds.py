@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import DistanceEstimate
-from .ewens import EwensParams, falling_factorial
+from .ewens import EwensParams, c1_moments, falling_factorial
 
 __all__ = [
     "kappa1",
@@ -38,26 +38,17 @@ KOLMOGOROV_GAP_COEFF = 1.0 + 1.0 / _SQRT_2PI + _SQRT_2PI / 4.0
 
 
 def kappa1(params: EwensParams) -> float:
-    """sqrt of E[c1^2]: sqrt(theta^2 n_(2)/(theta+n-1)_(2) + theta n/(theta+n-1))."""
-    n, theta = params.n, params.theta
-    if n < 2:
-        raise ValueError(f"kappa1 needs n >= 2, got n = {n}")
-    return math.sqrt(
-        theta * theta * falling_factorial(n, 2) / falling_factorial(theta + n - 1, 2)
-        + theta * n / (theta + n - 1)
-    )
+    """sqrt of E[c1^2], the fixed-point count's second moment."""
+    if params.n < 2:
+        raise ValueError(f"kappa1 needs n >= 2, got n = {params.n}")
+    return math.sqrt(c1_moments(params).second)
 
 
 def kappa2(params: EwensParams) -> float:
     """sqrt of E[c1^2 (c1-1)^2], via factorial moments of the fixed-point count."""
-    n, theta = params.n, params.theta
-    if n < 4:
-        raise ValueError(f"kappa2 needs n >= 4, got n = {n}")
-    return math.sqrt(
-        theta**4 * falling_factorial(n, 4) / falling_factorial(theta + n - 1, 4)
-        + 4.0 * theta**3 * falling_factorial(n, 3) / falling_factorial(theta + n - 1, 3)
-        + 2.0 * theta * theta * falling_factorial(n, 2) / falling_factorial(theta + n - 1, 2)
-    )
+    if params.n < 4:
+        raise ValueError(f"kappa2 needs n >= 4, got n = {params.n}")
+    return math.sqrt(c1_moments(params).fourth_factorial_sq)
 
 
 def _check_alpha_args(params: EwensParams, M: float) -> None:

@@ -5,7 +5,9 @@ The exchangeable pair (Y', Y'') conjugates an Ewens permutation pi' by a
 uniformly chosen transposition (i j); reweighting its law by (y'-y'')^2
 gives the square-bias pair (Y†, Y‡).  ``SquareBiasSampler`` draws that
 pair's randomness in closed form: the index pair (I†, J†), then the
-pre/post-image constraints pi(r)=i, pi(s)=j, pi(i)=k, pi(j)=l.
+pre/post-image constraints pi(r)=i, pi(s)=j, pi(i)=k, pi(j)=l, one label
+at a time from conditional marginals that ``statistic._distinct_square_sum``
+gives, the same kernel as the index-pair weights.
 ``sample_zero_bias_batch`` draws pi' from the CRP, deletes
 D = {i, j, r, s} from its cycles and reinserts them to realize the
 constraints, working on image and inverse arrays, and returns
@@ -20,14 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ewens import EwensParams, falling_factorial, sample_crp_images
+from .ewens import EwensParams, sample_crp_images
 from .statistic import (
+    BUCKET_SLOTS,
     SQUARE_BIAS_BUCKETS,
+    _SQUARE_SUMS,
     DegenerateError,
     ScoreMatrix,
     _bucket_weights,
     _case_constraints,
     _check_case_args,
+    _distinct_square_sum,
     _pair_sums,
     b_value,
 )
@@ -106,6 +111,12 @@ def index_square_bias_weights(
     return W
 
 
+def _pick(cum: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability proportional to the steps of cum."""
+    pos = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+    return min(pos, len(cum) - 1)
+
+
 def _zero_weight(i: int, j: int) -> DegenerateError:
     return DegenerateError(
         f"degenerate square bias: pair ({i}, {j}) carries zero weight"
@@ -116,9 +127,12 @@ class SquareBiasSampler:
     """Sampler for (I†, J†) and their pre/post-image configuration.
 
     The index pair is drawn from the closed-form weights.  Given the pair,
-    the sub-case bucket is drawn from its closed-form weight and the
-    constrained labels are then drawn one coordinate at a time from their
-    exact conditional marginals, each an O(n) vectorized computation.
+    the sub-case bucket is drawn from its closed-form weight.  In every
+    bucket b = alpha + sum_t eps_t u_{x_t} over distinct labels x_t, so the
+    labels are then drawn one coordinate at a time: x weighs the
+    ``_distinct_square_sum`` of b^2 over the coordinates still to come,
+    an O(n) vectorized computation, and ``BUCKET_SLOTS`` turns the drawn
+    labels into the bucket's (case, r, s, k, l).
     """
 
     def __init__(self, A: ScoreMatrix, params: EwensParams):
@@ -135,15 +149,13 @@ class SquareBiasSampler:
         W = index_square_bias_weights(A, params, _sums=self._sums)
         self.pair_weights = W
         self._pair_cum = np.cumsum(W.ravel())
-        self._total = self._pair_cum[-1]
         self._labels = np.arange(1, self.n + 1, dtype=np.intp)
         self._buckets: dict[tuple[int, int], tuple] = {}
 
     # -- pair level --------------------------------------------------------
 
     def sample_pair(self, rng: np.random.Generator) -> tuple[int, int]:
-        pos = int(np.searchsorted(self._pair_cum, rng.random() * self._total, side="right"))
-        pos = min(pos, self.n * self.n - 1)
+        pos = _pick(self._pair_cum, rng)
         return pos // self.n + 1, pos % self.n + 1
 
     # -- configuration level ------------------------------------------------
@@ -165,141 +177,36 @@ class SquareBiasSampler:
             self._buckets[key] = ctx
         return ctx
 
-    @staticmethod
-    def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
-        w = np.clip(weights, 0.0, None)
-        cum = np.cumsum(w)
-        total = cum[-1]
-        if not total > 0.0:
-            raise DegenerateError(
-                "degenerate square bias: conditional weights sum to zero"
-            )
-        pos = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        return min(pos, len(w) - 1)
-
     def _sample_sequential(
         self, i: int, j: int, rng: np.random.Generator
     ) -> tuple[str, int, int, int, int]:
         pool, u, c, q1, q2, cum = self._pair_context(i, j)
-        m = len(pool)
-        pos = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        bucket = SQUARE_BIAS_BUCKETS[min(pos, len(cum) - 1)][0]
-
-        def pick(weights) -> int:
-            return self._draw(weights, rng)
-
-        if bucket in ("A1:cycle", "A2:cycle"):
-            w = (c - 2.0 * u) ** 2
-            x = pick(w)
-            lab = int(pool[x])
-            if bucket.startswith("A1"):
-                return "A1", i, lab, i, lab
-            return "A2", lab, j, lab, j
-        if bucket in ("A1:chain", "A2:chain"):
-            alpha = c - u
-            q1e, q2e = q1 - u, q2 - u * u
-            w = (m - 1) * alpha**2 - 2.0 * alpha * q1e + q2e
-            x = pick(w)
-            first = int(pool[x])
-            mask = pool != first
-            w2 = (c - u[x] - u[mask]) ** 2
-            second = int(pool[mask][pick(w2)])
-            if bucket.startswith("A1"):
-                return "A1", i, first, i, second  # s = first, l = second
-            return "A2", first, j, second, j  # r = first, k = second
-        if bucket in ("A3:chain", "A4:chain"):
-            w = (m - 1) * u**2 - 2.0 * u * (q1 - u) + (q2 - u * u)
-            x = pick(w)
-            first = int(pool[x])
-            mask = pool != first
-            w2 = (u[x] - u[mask]) ** 2
-            second = int(pool[mask][pick(w2)])
-            if bucket.startswith("A3"):
-                return "A3", first, i, j, second  # r = first, l = second
-            return "A4", j, first, second, i  # s = first, k = second
-        if bucket == "A5_1":
-            w = (m - 1) * u**2 - 2.0 * u * (q1 - u) + (q2 - u * u)
-            x = pick(w)
-            r = int(pool[x])
-            mask = pool != r
-            s = int(pool[mask][pick((u[x] - u[mask]) ** 2)])
-            return "A5_1", r, s, r, s
-        if bucket in ("A5_2", "A5_3"):
-            # |b| = |2u_first - u_second - u_third| with first the 2-cycle label
-            alpha = 2.0 * u
-            q1e, q2e = q1 - u, q2 - u * u
-            w = (
-                falling_factorial(m - 1, 2) * alpha**2
-                - 4.0 * alpha * (m - 2) * q1e
-                + 2.0 * (m - 2) * q2e
-                + 2.0 * (q1e * q1e - q2e)
+        bucket, name, _, _ = SQUARE_BIAS_BUCKETS[_pick(cum, rng)]
+        offset, eps = _SQUARE_SUMS[name]
+        # b = alpha + sum_t eps_t u_{x_t}: alpha absorbs each drawn label and
+        # (q1, q2) keep the power sums of the labels still free
+        alpha = c if offset else 0.0
+        free = np.ones(len(pool), dtype=bool)
+        labels = [i, j]
+        for t, e in enumerate(eps):
+            # the weight of x sums b^2 over the distinct tails drawn after it
+            w = _distinct_square_sum(
+                len(pool) - t - 1, q1 - u, q2 - u * u, alpha + e * u, eps[t + 1 :]
             )
-            x = pick(w)
-            first = int(pool[x])
-            mask = pool != first
-            up = u[mask]
-            alpha2 = 2.0 * u[x] - up
-            q1f, q2f = q1 - u[x] - up, q2 - u[x] ** 2 - up * up
-            w2 = (m - 2) * alpha2**2 - 2.0 * alpha2 * q1f + q2f
-            y = pick(w2)
-            second = int(pool[mask][y])
-            mask2 = mask & (pool != second)
-            w3 = (2.0 * u[x] - u[pool == second][0] - u[mask2]) ** 2
-            third = int(pool[mask2][pick(w3)])
-            if bucket == "A5_2":
-                return "A5_2", first, second, first, third
-            return "A5_3", second, first, third, first
-        if bucket in ("A5_4:chain_sk", "A5_4:chain_lr"):
-            # squared gap (u_a - u_b)^2 over ordered distinct (a, b), free middle
-            w = (m - 1) * u**2 - 2.0 * u * (q1 - u) + (q2 - u * u)
-            x = pick(w)
-            a = int(pool[x])
-            mask = pool != a
-            b_lab = int(pool[mask][pick((u[x] - u[mask]) ** 2)])
-            rest = pool[(pool != a) & (pool != b_lab)]
-            free = int(rest[int(rng.integers(0, len(rest)))])
-            if bucket.endswith("chain_sk"):
-                # chain r -> i -> k -> j -> l with k free: b = u_r - u_l
-                return "A5_4", a, free, free, b_lab
-            # chain s -> j -> r -> i -> k with r = l free: b = u_k - u_s
-            return "A5_4", free, b_lab, a, free
-        # A5_4:free
-        alpha = u
-        q1e, q2e = q1 - u, q2 - u * u
-        w = (
-            falling_factorial(m - 1, 3) * alpha**2
-            - 2.0 * alpha * falling_factorial(m - 2, 2) * q1e
-            + 3.0 * falling_factorial(m - 2, 2) * q2e
-            - 2.0 * (m - 3) * (q1e * q1e - q2e)
-        )
-        x = pick(w)
-        r = int(pool[x])
-        ur = u[x]
-        mask_r = pool != r
-        up = u[mask_r]
-        alpha2 = ur - up
-        q1f, q2f = q1 - ur - up, q2 - ur**2 - up * up
-        w2 = (
-            falling_factorial(m - 2, 2) * alpha2**2
-            + 2.0 * (m - 3) * q2f
-            - 2.0 * (q1f * q1f - q2f)
-        )
-        y = pick(w2)
-        s = int(pool[mask_r][y])
-        us = u[pool == s][0]
-        mask_rs = mask_r & (pool != s)
-        uq = u[mask_rs]
-        alpha3 = ur + uq - us
-        q1g = q1 - ur - us - uq
-        q2g = q2 - ur**2 - us**2 - uq * uq
-        w3 = (m - 3) * alpha3**2 - 2.0 * alpha3 * q1g + q2g
-        z = pick(w3)
-        k = int(pool[mask_rs][z])
-        uk = u[pool == k][0]
-        mask_rsk = mask_rs & (pool != k)
-        w4 = (ur + uk - us - u[mask_rsk]) ** 2
-        l = int(pool[mask_rsk][pick(w4)])
-        return "A5_4", r, s, k, l
+            cum_w = np.where(free, np.maximum(w, 0.0), 0.0).cumsum()
+            if not cum_w[-1] > 0.0:
+                raise DegenerateError(
+                    "degenerate square bias: conditional weights sum to zero"
+                )
+            x = _pick(cum_w, rng)
+            free[x] = False
+            ux = float(u[x])
+            alpha += e * ux
+            q1 -= ux
+            q2 -= ux * ux
+            labels.append(int(pool[x]))
+        r, s, k, l = (labels[slot] for slot in BUCKET_SLOTS[bucket])
+        return bucket.partition(":")[0], r, s, k, l
 
     # -- public sampling ----------------------------------------------------
 

@@ -173,16 +173,12 @@ def _constraint_loops(pm: Mapping[int, int]) -> int:
         if start in visited:
             continue
         x = start
-        trail = []
         while x in pm and x not in visited:
             visited.add(x)
-            trail.append(x)
             x = pm[x]
-        # the walk closed a loop iff it returned to its own starting point
+        # pm is injective, so the walk closed a loop iff it returned to
+        # its own starting point
         if x == start:
-            loops += 1
-        elif x in visited and x in trail:
-            # can't happen for injective pm, but guards a corrupted input
             loops += 1
     return loops
 

@@ -34,7 +34,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .coupling import SquareBiasConfig, index_square_bias_weights
-from .ewens import EwensParams, constrained_prob, ewens_pmf, rising_factorial
+from .ewens import (
+    EwensParams,
+    _constraint_loops,
+    constrained_prob,
+    ewens_pmf,
+    rising_factorial,
+)
 from .permutations import Permutation, reduce_delete
 from .statistic import (
     CASE_LABELS,
@@ -452,7 +458,7 @@ def _pair_case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, np.
                 b = b_value(i, j, r, s, k, l, case, A)
                 if b == 0.0:
                     continue
-                loops = _config_loops(i, j, r, s, k, l)
+                loops = _constraint_loops(_case_constraints(i, j, r, s, k, l))
                 pieces[case].append(b * b * theta**loops)
             for case, vals in pieces.items():
                 sums[case][i - 1, j - 1] = math.fsum(vals)
@@ -465,23 +471,6 @@ def _case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
         case: math.fsum(v.ravel().tolist())
         for case, v in _pair_case_sums_direct(A, params).items()
     }
-
-
-def _config_loops(i: int, j: int, r: int, s: int, k: int, l: int) -> int:
-    """Closed loops in the deduplicated constraint map for this config."""
-    pm = _case_constraints(i, j, r, s, k, l)
-    loops = 0
-    visited: set[int] = set()
-    for start in pm:
-        if start in visited:
-            continue
-        x = start
-        while x in pm and x not in visited:
-            visited.add(x)
-            x = pm[x]
-        if x == start:
-            loops += 1
-    return loops
 
 
 @dataclass(frozen=True)

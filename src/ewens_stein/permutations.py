@@ -16,7 +16,6 @@ __all__ = [
     "CycleType",
     "cycle_type",
     "reduce_delete",
-    "restrict_cycles",
     "mapping_cycles",
     "mapping_cycle_count",
 ]
@@ -140,15 +139,6 @@ class Permutation:
             self._cycle_len = tuple(lens)
         return self._cycle_len[i]
 
-    def same_cycle(self, i: int, j: int) -> bool:
-        img = self._image
-        x = img[i - 1]
-        while x != i:
-            if x == j:
-                return True
-            x = img[x - 1]
-        return i == j
-
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self._image, start=1) if x == i)
 
@@ -243,17 +233,6 @@ def reduce_delete(perm: Permutation, B: Iterable[int]) -> dict[int, int]:
         while y in dropped:
             y = img[y - 1]
         out[x] = y
-    return out
-
-
-def restrict_cycles(perm: Permutation, B: Iterable[int]) -> dict[int, int]:
-    """The fragment pi_B: the cycles of pi lying wholly inside B."""
-    keep = set(B)
-    out: dict[int, int] = {}
-    for cyc in perm.cycles():
-        if all(a in keep for a in cyc):
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                out[a] = b
     return out
 
 

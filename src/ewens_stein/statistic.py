@@ -479,6 +479,25 @@ SQUARE_BIAS_BUCKETS = (
     ("A5_4:free", "A5_4_free", 0, 4),
 )
 
+# Where each bucket's (r, s, k, l) = (pre_i, pre_j, post_i, post_j) come
+# from: slot indices into (i, j, x_1, x_2, ...), with x_t the label drawn
+# for coordinate t of the bucket's square sum.  A2, A4 and A5_3 mirror A1,
+# A3 and A5_2; an A5_4 chain's zero-sign coordinate is its free middle label.
+BUCKET_SLOTS = {
+    "A1:cycle": (0, 2, 0, 2),
+    "A1:chain": (0, 2, 0, 3),
+    "A2:cycle": (2, 1, 2, 1),
+    "A2:chain": (2, 1, 3, 1),
+    "A3:chain": (2, 0, 1, 3),
+    "A4:chain": (1, 2, 3, 0),
+    "A5_1": (2, 3, 2, 3),
+    "A5_2": (2, 3, 2, 4),
+    "A5_3": (3, 2, 4, 2),
+    "A5_4:chain_sk": (2, 3, 3, 4),
+    "A5_4:chain_lr": (3, 4, 2, 3),
+    "A5_4:free": (2, 3, 4, 5),
+}
+
 
 def _distinct_square_sum(m: int, q1, q2, alpha, eps: tuple[float, ...]):
     """sum over distinct tuples (x_1..x_T) from a pool of m labels of
@@ -488,9 +507,12 @@ def _distinct_square_sum(m: int, q1, q2, alpha, eps: tuple[float, ...]):
     counting factors: distinct tuples number m_(T), each fixed coordinate
     ranges with multiplicity (m-1)_(T-1), and unordered coordinate pairs
     with multiplicity (m-2)_(T-2) against (q1^2 - q2).  Works elementwise
-    on arrays of (q1, q2, alpha).
+    on arrays of (q1, q2, alpha).  With no coordinates left (eps = ()) the
+    one empty tuple gives alpha^2.
     """
     T = len(eps)
+    if T == 0:
+        return alpha * alpha
     if m < T:
         return 0.0
     n_tuples = falling_factorial(m, T)

@@ -7,7 +7,6 @@ from ewens_stein.permutations import (
     mapping_cycle_count,
     mapping_cycles,
     reduce_delete,
-    restrict_cycles,
 )
 
 
@@ -67,14 +66,11 @@ def test_cycle_type_validity():
         CycleType((1, -1))
 
 
-def test_cycle_len_and_same_cycle():
+def test_cycle_len():
     p = Permutation([2, 1, 4, 5, 3, 6])
     assert p.cycle_len(1) == 2
     assert p.cycle_len(4) == 3
     assert p.cycle_len(6) == 1
-    assert p.same_cycle(3, 5)
-    assert not p.same_cycle(1, 6)
-    assert p.same_cycle(6, 6)
 
 
 def test_fixed_points():
@@ -131,14 +127,6 @@ def test_reduce_delete_is_a_bijection_of_survivors():
         survivors = set(range(1, 9)) - B
         assert set(red.keys()) == survivors
         assert set(red.values()) == survivors
-
-
-def test_restrict_cycles():
-    p = Permutation.from_cycles(6, [(1, 2, 3), (4, 5)])
-    # only cycles wholly inside B survive
-    assert restrict_cycles(p, {1, 2, 3, 6}) == {1: 2, 2: 3, 3: 1, 6: 6}
-    assert restrict_cycles(p, {1, 2, 4, 5}) == {4: 5, 5: 4}
-    assert restrict_cycles(p, {1, 2}) == {}
 
 
 def test_mapping_cycles():

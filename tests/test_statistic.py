@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,8 +17,10 @@ from ewens_stein.permutations import Permutation
 from ewens_stein.statistic import (
     CASE_LABELS,
     DegenerateError,
+    _SQUARE_SUMS,
     ScoreMatrix,
     _case_sums_closed,
+    _distinct_square_sum,
     b_value,
     center,
     classify,
@@ -383,3 +386,26 @@ def test_statistic_size_mismatch():
     A = random_centered(6, 1.0, 50)
     with pytest.raises(ValueError):
         statistic(A, Permutation([1, 2, 3]))
+
+
+@pytest.mark.parametrize("eps", [eps for _, eps in _SQUARE_SUMS.values()] + [()])
+@pytest.mark.parametrize("m", [4, 6, 7])
+def test_distinct_square_sum_matches_brute_force(m, eps):
+    """The closed-form square sum equals the sum of (alpha + sum_t eps_t
+    u_{x_t})^2 over distinct tuples, and its coordinate-1 weights, one per
+    first label, add back up to it: the chain rule the sampler draws by."""
+    rng = np.random.default_rng(100 * m + len(eps))
+    u = rng.uniform(-1.0, 1.0, m)
+    q1, q2 = float(u.sum()), float((u * u).sum())
+    for alpha in (0.0, float(rng.uniform(-2.0, 2.0))):
+        brute = math.fsum(
+            (alpha + sum(e * u[x] for e, x in zip(eps, xs))) ** 2
+            for xs in itertools.permutations(range(m), len(eps))
+        )
+        closed = _distinct_square_sum(m, q1, q2, alpha, eps)
+        assert closed == pytest.approx(brute, rel=1e-12)
+        if eps:
+            first = _distinct_square_sum(
+                m - 1, q1 - u, q2 - u * u, alpha + eps[0] * u, eps[1:]
+            )
+            assert math.fsum(first) == pytest.approx(closed, rel=1e-12)
