@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateError, RuntimeError) as exc:
+    except (DegenerateError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:

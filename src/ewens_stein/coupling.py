@@ -17,8 +17,10 @@ reference for that surgery is ``oracle.construct_dagger``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .statistic import (
     _SQUARE_SUMS,
     DegenerateError,
     ScoreMatrix,
+    _bucket_factors,
     _bucket_weights,
     _case_constraints,
     _check_case_args,
@@ -103,7 +106,7 @@ def index_square_bias_weights(
     # SquareBiasSampler passes the _pair_sums of A it already holds
     if _sums is None:
         _sums = _pair_sums(A.centered)[1]
-    W = sum(_bucket_weights(_sums, params))
+    W = sum(_bucket_weights(_sums, _bucket_factors(params)))
     if not W.any():
         raise DegenerateError(
             "degenerate square bias: (Y'-Y'')^2 has zero expectation for this matrix"
@@ -111,16 +114,10 @@ def index_square_bias_weights(
     return W
 
 
-def _pick(cum: np.ndarray, rng: np.random.Generator) -> int:
+def _pick(cum, rng: np.random.Generator) -> int:
     """An index drawn with probability proportional to the steps of cum."""
-    pos = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+    pos = bisect.bisect_right(cum, rng.random() * cum[-1])
     return min(pos, len(cum) - 1)
-
-
-def _zero_weight(i: int, j: int) -> DegenerateError:
-    return DegenerateError(
-        f"degenerate square bias: pair ({i}, {j}) carries zero weight"
-    )
 
 
 class SquareBiasSampler:
@@ -132,7 +129,9 @@ class SquareBiasSampler:
     labels are then drawn one coordinate at a time: x weighs the
     ``_distinct_square_sum`` of b^2 over the coordinates still to come,
     an O(n) vectorized computation, and ``BUCKET_SLOTS`` turns the drawn
-    labels into the bucket's (case, r, s, k, l).
+    labels into the bucket's (case, r, s, k, l).  Each draw reads its
+    pair's (c, q1, q2), square sums and u = a[:, i] - a[:, j] from the
+    arrays set up here, so the sampler's memory does not grow with draws.
     """
 
     def __init__(self, A: ScoreMatrix, params: EwensParams):
@@ -149,8 +148,7 @@ class SquareBiasSampler:
         W = index_square_bias_weights(A, params, _sums=self._sums)
         self.pair_weights = W
         self._pair_cum = np.cumsum(W.ravel())
-        self._labels = np.arange(1, self.n + 1, dtype=np.intp)
-        self._buckets: dict[tuple[int, int], tuple] = {}
+        self._factors = _bucket_factors(params)
 
     # -- pair level --------------------------------------------------------
 
@@ -160,38 +158,31 @@ class SquareBiasSampler:
 
     # -- configuration level ------------------------------------------------
 
-    def _pair_context(self, i: int, j: int):
-        """u-vector machinery for one pair: pool labels, u values, stats and
-        the cumulative bucket weights."""
-        key = (i, j)
-        ctx = self._buckets.get(key)
-        if ctx is None:
-            centered = self.A.centered
-            pool = np.delete(self._labels, (i - 1, j - 1))
-            u = centered[pool - 1, i - 1] - centered[pool - 1, j - 1]
-            c, q1, q2 = (float(stat[i - 1, j - 1]) for stat in self._stats)
-            cum = np.cumsum(_bucket_weights(self._sums, self.params, (i - 1, j - 1)))
-            if not cum[-1] > 0.0:
-                raise _zero_weight(i, j)
-            ctx = (pool, u, c, q1, q2, cum)
-            self._buckets[key] = ctx
-        return ctx
-
     def _sample_sequential(
         self, i: int, j: int, rng: np.random.Generator
     ) -> tuple[str, int, int, int, int]:
-        pool, u, c, q1, q2, cum = self._pair_context(i, j)
+        at = (i - 1, j - 1)
+        pair_sums = {name: float(sums[at]) for name, sums in self._sums.items()}
+        cum = list(accumulate(_bucket_weights(pair_sums, self._factors)))
+        if not cum[-1] > 0.0:
+            raise DegenerateError(
+                f"degenerate square bias: pair ({i}, {j}) carries zero weight"
+            )
         bucket, name, _, _ = SQUARE_BIAS_BUCKETS[_pick(cum, rng)]
         offset, eps = _SQUARE_SUMS[name]
+        c, q1, q2 = (float(stat[at]) for stat in self._stats)
+        u = self.A.centered[:, i - 1] - self.A.centered[:, j - 1]
         # b = alpha + sum_t eps_t u_{x_t}: alpha absorbs each drawn label and
-        # (q1, q2) keep the power sums of the labels still free
+        # (q1, q2) keep the power sums of the labels still free; index x is
+        # label x + 1, and i, j are never free
         alpha = c if offset else 0.0
-        free = np.ones(len(pool), dtype=bool)
+        free = np.ones(self.n, dtype=bool)
+        free[i - 1] = free[j - 1] = False
         labels = [i, j]
         for t, e in enumerate(eps):
             # the weight of x sums b^2 over the distinct tails drawn after it
             w = _distinct_square_sum(
-                len(pool) - t - 1, q1 - u, q2 - u * u, alpha + e * u, eps[t + 1 :]
+                self.n - t - 3, q1 - u, q2 - u * u, alpha + e * u, eps[t + 1 :]
             )
             cum_w = np.where(free, np.maximum(w, 0.0), 0.0).cumsum()
             if not cum_w[-1] > 0.0:
@@ -204,7 +195,7 @@ class SquareBiasSampler:
             alpha += e * ux
             q1 -= ux
             q2 -= ux * ux
-            labels.append(int(pool[x]))
+            labels.append(x + 1)
         r, s, k, l = (labels[slot] for slot in BUCKET_SLOTS[bucket])
         return bucket.partition(":")[0], r, s, k, l
 
@@ -213,6 +204,10 @@ class SquareBiasSampler:
     def sample_config(
         self, i: int, j: int, rng: np.random.Generator
     ) -> SquareBiasConfig:
+        if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
+            raise ValueError(
+                f"index pair ({i}, {j}) needs 1 <= i, j <= {self.n} and i != j"
+            )
         case, r, s, k, l = self._sample_sequential(i, j, rng)
         b = b_value(i, j, r, s, k, l, case, self.A)
         return SquareBiasConfig(i=i, j=j, r=r, s=s, k=k, l=l, case=case, b=b)

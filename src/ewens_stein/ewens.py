@@ -93,10 +93,15 @@ def ewens_pmf(perm: Permutation, params: EwensParams) -> float:
     """P_theta(pi) = theta^{#(pi)} / theta^{(n)}."""
     if perm.n != params.n:
         raise ValueError(f"permutation is on [{perm.n}] but params.n = {params.n}")
-    if params.n > _LOG_SPACE_N:
-        return math.exp(ewens_log_pmf(perm, params))
-    theta = params.theta
-    return theta ** perm.cycle_count() / rising_factorial(theta, params.n)
+    if params.n <= _LOG_SPACE_N:
+        rising = rising_factorial(params.theta, params.n)
+        # theta^c <= theta^(n), so the power is finite wherever rising is; a
+        # quotient that underflows to 0 is redone in log space
+        if math.isfinite(rising):
+            p = params.theta ** perm.cycle_count() / rising
+            if p > 0.0:
+                return p
+    return math.exp(ewens_log_pmf(perm, params))
 
 
 def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
@@ -111,17 +116,22 @@ def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
     if not ctype.is_valid():
         return 0.0
     theta = params.theta
-    if n > _LOG_SPACE_N:
-        log_p = math.lgamma(n + 1) - log_rising_factorial(theta, n)
-        for j, c in enumerate(ctype.counts, start=1):
-            if c:
-                log_p += c * (math.log(theta) - math.log(j)) - math.lgamma(c + 1)
-        return math.exp(log_p)
-    p = math.factorial(n) / rising_factorial(theta, n)
+    if n <= _LOG_SPACE_N:
+        rising = rising_factorial(theta, n)
+        # as in ewens_pmf: finite powers wherever rising is finite, and an
+        # underflow to 0 is redone in log space
+        if math.isfinite(rising):
+            p = math.factorial(n) / rising
+            for j, c in enumerate(ctype.counts, start=1):
+                if c:
+                    p *= theta**c / (j**c * math.factorial(c))
+            if p > 0.0:
+                return p
+    log_p = math.lgamma(n + 1) - log_rising_factorial(theta, n)
     for j, c in enumerate(ctype.counts, start=1):
         if c:
-            p *= theta**c / (j**c * math.factorial(c))
-    return p
+            log_p += c * (math.log(theta) - math.log(j)) - math.lgamma(c + 1)
+    return math.exp(log_p)
 
 
 def sample_crp_images(
@@ -268,11 +278,13 @@ def c1_moments(params: EwensParams) -> C1Moments:
         # E[(c1)_(k)] = theta^k n_(k) / (theta+n-1)_(k), zero when k > n
         if k > n:
             return 0.0
-        return (
-            theta**k
-            * falling_factorial(n, k)
-            / falling_factorial(theta + n - 1, k)
-        )
+        falling = falling_factorial(theta + n - 1, k)
+        if math.isfinite(falling):
+            value = theta**k * falling_factorial(n, k) / falling
+            if math.isfinite(value):
+                return value
+        # theta^k n_(k) overflows: take the ratio factor by factor
+        return math.prod(theta / (theta + n - 1 - t) * (n - t) for t in range(k))
 
     mean = fm(1)
     f2 = fm(2)

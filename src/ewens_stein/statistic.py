@@ -129,13 +129,18 @@ def center(A: np.ndarray, params: EwensParams) -> ScoreMatrix:
     a = _check_square_symmetric(A)
     mean = grand_mean(a, params)
     centered = a - mean
+    max_abs = float(np.max(np.abs(centered)))
+    if not math.isfinite(max_abs):
+        raise OverflowError(
+            f"centering overflows double precision at theta = {params.theta}"
+        )
     is_int = bool(np.all(a == np.round(a)))
     return ScoreMatrix(
         n=params.n,
         entries=a,
         grand_mean=mean,
         centered=centered,
-        max_abs=float(np.max(np.abs(centered))),
+        max_abs=max_abs,
         theta_used=params.theta,
         is_integer=is_int,
     )
@@ -348,16 +353,24 @@ def sigma_squared(A: ScoreMatrix, params: EwensParams) -> float:
     a = A.centered
     g = np.ones((n, n))
     np.fill_diagonal(g, theta)
-    b = a * g
     swap = a * a.T
-    one_point = float((a * b).sum()) / (theta + n - 1)
-    two_point = (
-        float(b.sum()) ** 2
-        - float((b.sum(axis=1) ** 2).sum())
-        - float((b.sum(axis=0) ** 2).sum())
-        + float((b * b).sum())
-        + (theta - 1.0) * float(swap.sum() - np.trace(swap))
-    ) / falling_factorial(theta + n - 1, 2)
+    # theta * a_ii enters squared: past ~1e154 / (n M) the sums overflow
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            b = a * g
+            one_point = float((a * b).sum()) / (theta + n - 1)
+            two_point = (
+                float(b.sum()) ** 2
+                - float((b.sum(axis=1) ** 2).sum())
+                - float((b.sum(axis=0) ** 2).sum())
+                + float((b * b).sum())
+                + (theta - 1.0) * float(swap.sum() - np.trace(swap))
+            ) / falling_factorial(theta + n - 1, 2)
+    except (OverflowError, FloatingPointError):
+        raise OverflowError(
+            f"sigma^2 overflows double precision at theta = {theta} "
+            f"with max|a| = {A.max_abs}"
+        ) from None
     sigma_sq = one_point + two_point
     if sigma_sq <= DEGENERATE_SIGMA_FACTOR * (n * A.max_abs) ** 2:
         raise DegenerateError(
@@ -560,14 +573,21 @@ def _pair_sums(
     return (c, q1, q2), sums
 
 
-def _bucket_weights(sums: dict[str, np.ndarray], params: EwensParams, at=...) -> list:
-    """The weight of each SQUARE_BIAS_BUCKETS entry: (n, n) arrays over
-    every pair, or floats for the one pair at = (i-1, j-1)."""
+def _bucket_factors(params: EwensParams) -> list[tuple[str, float, float]]:
+    """Per SQUARE_BIAS_BUCKETS entry: its square sum's name, theta^power
+    and (theta+n-1)_(k)."""
     theta = params.theta
     return [
-        theta**power * sums[name][at] / falling_factorial(theta + params.n - 1, k)
+        (name, theta**power, falling_factorial(theta + params.n - 1, k))
         for _, name, power, k in SQUARE_BIAS_BUCKETS
     ]
+
+
+def _bucket_weights(sums: dict, factors: list) -> list:
+    """The weight theta^power * sum / (theta+n-1)_(k) of each
+    SQUARE_BIAS_BUCKETS entry, from the square sums by name and the
+    _bucket_factors: (n, n) arrays over every pair, or one pair's floats."""
+    return [power * sums[name] / falling for name, power, falling in factors]
 
 
 def _pair_case_sums(A: ScoreMatrix, params: EwensParams) -> dict[str, np.ndarray]:

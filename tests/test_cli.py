@@ -155,6 +155,38 @@ def test_bounds_infinite_theta_is_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args, value",
+    [
+        # theta / (theta (theta+1) (theta+2)): the direct quotient underflows
+        (["--perm", "2,3,1", "--theta", "1e120"], 1e-240),
+        # theta^3 and the rising factorial both overflow; the ratio is ~1
+        (["--perm", "1,2,3", "--theta", "1e120"], 1.0),
+        (["--ctype", "3", "--theta", "1e308"], 1.0),
+    ],
+)
+def test_pmf_huge_finite_theta_takes_the_log_route(args, value, capsys):
+    assert main(["pmf", "--n", "3"] + args) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_bounds_huge_finite_theta_is_degenerate_variance(capsys):
+    # theta^4 overflows in the fixed-point moments; sigma^2 is then at the
+    # noise floor, as it already is at theta = 1e60
+    assert main(["bounds", "--n", "7", "--theta", "1e80"]) == 1
+    captured = capsys.readouterr()
+    assert "degenerate variance" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("theta, stage", [("1e200", "sigma^2"), ("1e308", "centering")])
+def test_bounds_overflowing_theta_is_runtime_error(theta, stage, capsys):
+    assert main(["bounds", "--n", "7", "--theta", theta]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {stage} overflows double precision" in captured.err
+    assert captured.out == ""
+
+
 def test_bounds_small_n_is_usage_error(capsys):
     assert main(["bounds", "--n", "5"]) == 2
     assert "n >= 6" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +199,36 @@ def test_sample_config_zero_weight_pair():
     assert sampler.pair_weights[0, 1] == 0.0
     with pytest.raises(DegenerateError, match=r"pair \(1, 2\) carries zero weight"):
         sampler.sample_config(1, 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (-1, 2), (8, 2), (3, 3)])
+def test_sample_config_rejects_pairs_outside_the_index_range(i, j):
+    # a wrapped index would read another pair's row of the set-up arrays
+    params = EwensParams(n=7, theta=1.0)
+    sampler = SquareBiasSampler(random_centered(7, 1.0, 5), params)
+    with pytest.raises(ValueError, match=rf"index pair \({i}, {j}\)"):
+        sampler.sample_config(i, j, np.random.default_rng(0))
+
+
+def test_sampler_memory_stays_flat_over_draws():
+    params = EwensParams(n=60, theta=1.0)
+    sampler = SquareBiasSampler(random_centered(60, 1.0, 9), params)
+    rng = np.random.default_rng(3)
+
+    def held_after(draws):
+        for _ in range(draws):
+            sampler.sample(rng)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        early = held_after(500)
+        late = held_after(5500)
+    finally:
+        tracemalloc.stop()
+    # a per-pair cache would hold one more entry for each new pair drawn
+    assert late - early < 64 * 1024, (early, late)
 
 
 def test_construct_dagger_realizes_constraints():

@@ -74,6 +74,21 @@ def test_log_pmf_consistency():
         )
 
 
+@pytest.mark.parametrize("theta", [1e-200, 1e120, 1e308])
+def test_pmf_at_extreme_theta_matches_log_space(theta):
+    # the direct quotient over/underflows at the ends; its log-space value
+    # stands in wherever it would print 0 or raise
+    params = EwensParams(n=3, theta=theta)
+    # one representative per cycle type, with the size of its class
+    for image, size in (([1, 2, 3], 1), ([2, 1, 3], 3), ([2, 3, 1], 2)):
+        perm = Permutation(image)
+        expected = math.exp(ewens_log_pmf(perm, params))
+        assert ewens_pmf(perm, params) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert cycle_type_pmf(cycle_type(perm), params) == pytest.approx(
+            size * expected, rel=1e-12, abs=0
+        )
+
+
 def test_pmf_size_mismatch():
     with pytest.raises(ValueError, match="params.n"):
         ewens_pmf(Permutation([1, 2]), EwensParams(n=3, theta=1.0))
@@ -289,6 +304,15 @@ def test_c1_moments_frozen():
     assert m == C1Moments(
         mean=1.75, factorial2=3.0, second=4.75, fourth_factorial_sq=34.0
     )
+
+
+@pytest.mark.parametrize("theta", [1e80, 1e154, 1e308])
+def test_c1_moments_at_huge_theta_tend_to_the_identity(theta):
+    # c1 -> n as theta -> infinity; theta^k alone would overflow
+    n = 7
+    m = c1_moments(EwensParams(n=n, theta=theta))
+    target = (n, n * (n - 1), n * n, n * n * (n - 1) * (n - 1))
+    assert tuple(m.__dict__.values()) == pytest.approx(target, rel=1e-12, abs=0)
 
 
 def test_c1_moments_match_enumeration():
