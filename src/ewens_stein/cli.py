@@ -3,7 +3,10 @@
 Subcommands: pmf (probability queries), bounds (one bound report),
 experiment (parameter sweeps to CSV).
 Exit codes: 0 success, 1 runtime/numeric failure (a DegenerateError,
-e.g. degenerate variance), 2 usage or validation error.
+e.g. degenerate variance), 2 usage or validation error.  An experiment
+cell that fails prints one error line with its n and theta and is left
+out; the healthy cells still print, and the sweep exits with the largest
+of its failing cells' codes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,17 @@ GENERATORS = ("uniform01", "integer-range")
 
 class UsageError(Exception):
     pass
+
+
+# the errors that end a command with a message instead of a traceback
+_FAILURES = (UsageError, ValueError, RuntimeError, OverflowError)
+
+
+def _exit_code(exc: Exception) -> int:
+    # a DegenerateError is a ValueError, but a runtime failure
+    if isinstance(exc, (DegenerateError, RuntimeError, OverflowError)):
+        return EXIT_RUNTIME
+    return EXIT_USAGE
 
 
 def _parse_perm(text: str) -> Permutation:
@@ -176,9 +190,10 @@ def cmd_experiment(args) -> int:
     if not ns or not thetas:
         raise UsageError("experiment grid is empty: provide --n/--n-grid and --theta/--theta-grid")
     reports = []
-    combo = 0
-    for n in ns:
-        for theta in thetas:
+    failed = EXIT_OK
+    for combo, (n, theta) in enumerate((n, t) for n in ns for t in thetas):
+        # a failing cell is reported and skipped; the healthy rows still print
+        try:
             params = EwensParams(n=n, theta=theta)
             A = _resolve_matrix(args, n, [args.seed, combo])
             reports.append(
@@ -191,13 +206,15 @@ def cmd_experiment(args) -> int:
                     force_integer_lower_bound=args.force_integer_lower_bound,
                 )
             )
-            combo += 1
+        except _FAILURES as exc:
+            print(f"error: n = {n}, theta = {theta!r}: {exc}", file=sys.stderr)
+            failed = max(failed, _exit_code(exc))
     if args.format == "json":
         text = json.dumps([r.to_json() for r in reports], sort_keys=True, indent=2) + "\n"
     else:
         text = CSV_COLUMNS + "\n" + "".join(r.csv_row() + "\n" for r in reports)
     _emit(text, args.out)
-    return EXIT_OK
+    return failed
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +273,9 @@ def main(argv=None) -> int:
         args.theta = 1.0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DegenerateError, RuntimeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ pair's randomness in closed form: the index pair (I†, J†), then the
 pre/post-image constraints pi(r)=i, pi(s)=j, pi(i)=k, pi(j)=l, one label
 at a time from conditional marginals that ``statistic._distinct_square_sum``
 gives, the same kernel as the index-pair weights.
-``sample_zero_bias_batch`` draws pi' from the CRP, deletes
+``sample_zero_bias_batch`` draws pi' from the CRP, one fixed-size chunk
+of rows at a time, deletes
 D = {i, j, r, s} from its cycles and reinserts them to realize the
 constraints, working on image and inverse arrays, and returns
 Y* = U Y† + (1-U) Y‡, which lies within 20 M of Y'.  The Permutation-level
@@ -38,6 +39,8 @@ from .statistic import (
     _distinct_square_sum,
     _pair_sums,
     b_value,
+    block_statistic,
+    padded_scores,
 )
 
 __all__ = [
@@ -45,7 +48,13 @@ __all__ = [
     "index_square_bias_weights",
     "SquareBiasSampler",
     "sample_zero_bias_batch",
+    "ZERO_BIAS_CHUNK_ROWS",
 ]
+
+# rows per sample_zero_bias_batch chunk; a chunk's images and inverses are
+# the batch's only (rows x n) arrays
+ZERO_BIAS_CHUNK_ROWS = 1024
+
 
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -217,6 +226,47 @@ class SquareBiasSampler:
         return self.sample_config(i, j, rng)
 
 
+def _dagger_changes(img, inv, config: SquareBiasConfig) -> dict[int, int]:
+    """The new images {x: pi†(x)} of the positions where pi† differs from
+    pi, given pi's image and inverse rows: D = {i, j, r, s} is deleted from
+    pi's cycles and reinserted to realize the configuration's constraints."""
+    Dset = config.deleted_labels()
+    C = config.constraint_map()
+    change: dict[int, int] = {}
+    # survivors that pointed into D now skip through it
+    for d in Dset:
+        x = int(inv[d - 1])
+        if x in Dset:
+            continue
+        y = int(img[d - 1])
+        while y in Dset:
+            y = int(img[y - 1])
+        change[x] = y
+    # chain insertions and cycle closures
+    values = set(C.values())
+    visited: set[int] = set()
+    for head in sorted(x for x in C if x not in values):
+        x = head
+        while x in C:
+            change[x] = C[x]
+            visited.add(x)
+            x = C[x]
+        # back-walk to the survivor that reduces onto the chain's end
+        y = int(inv[x - 1])
+        while y in Dset:
+            y = int(inv[y - 1])
+        change[y] = head
+    for start in sorted(C):
+        if start in visited:
+            continue
+        x = start
+        while x not in visited:
+            change[x] = C[x]
+            visited.add(x)
+            x = C[x]
+    return change
+
+
 def sample_zero_bias_batch(
     A: ScoreMatrix,
     params: EwensParams,
@@ -231,76 +281,48 @@ def sample_zero_bias_batch(
     object: the surgery touches at most 10 positions, so Y† is computed
     incrementally from Y', and Y‡ = Y† - b.  ``oracle.construct_dagger``
     is the Permutation-level reference for the edit.
+
+    Rows run in chunks of ``ZERO_BIAS_CHUNK_ROWS`` on the one generator: a
+    chunk draws its CRP images, then each of its rows draws its
+    configuration and then U, and the next chunk follows.  A batch of at
+    most one chunk thus draws all its images before any configuration.
+    Only the five (count,) outputs grow with count; a chunk's images,
+    inverses and index temporaries take at most 16 bytes per image entry.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     rng = _as_rng(seed)
     if sampler is None:
         sampler = SquareBiasSampler(A, params)
-    n = params.n
-    centered = A.centered
+    padded = padded_scores(A)
     rows_c = A.row_lists()
-    # C order keeps the row sums of Y' and the per-row loop below as they were
-    images = np.ascontiguousarray(sample_crp_images(params, rng, count))
-    inverses = np.empty_like(images)
-    cols = np.arange(1, n + 1)
-    rowidx = np.arange(count)[:, None]
-    inverses[rowidx, images - 1] = cols[None, :]
-    y_prime = centered[np.arange(n)[None, :], images - 1].sum(axis=1)
-
-    y_dagger = np.empty(count)
-    y_ddagger = np.empty(count)
-    us = np.empty(count)
+    cols = np.arange(1, params.n + 1)
     limit = 20.0 * A.max_abs + 1e-9 * max(20.0 * A.max_abs, 1.0)
-    for t in range(count):
-        img = images[t]
-        inv = inverses[t]
-        config = sampler.sample(rng)
-        Dset = config.deleted_labels()
-        C = config.constraint_map()
-        change: dict[int, int] = {}
-        # survivors that pointed into D now skip through it
-        for d in Dset:
-            x = int(inv[d - 1])
-            if x in Dset:
-                continue
-            y = int(img[d - 1])
-            while y in Dset:
-                y = int(img[y - 1])
-            change[x] = y
-        # chain insertions and cycle closures
-        values = set(C.values())
-        visited: set[int] = set()
-        for head in sorted(x for x in C if x not in values):
-            x = head
-            while x in C:
-                change[x] = C[x]
-                visited.add(x)
-                x = C[x]
-            # back-walk to the survivor that reduces onto the chain's end
-            y = int(inv[x - 1])
-            while y in Dset:
-                y = int(inv[y - 1])
-            change[y] = head
-        for start in sorted(C):
-            if start in visited:
-                continue
-            x = start
-            while x not in visited:
-                change[x] = C[x]
-                visited.add(x)
-                x = C[x]
-        yd = float(y_prime[t]) + math.fsum(
-            rows_c[x - 1][new - 1] - rows_c[x - 1][img[x - 1] - 1]
-            for x, new in change.items()
-        )
-        u = float(rng.random())
-        y_dagger[t] = yd
-        y_ddagger[t] = yd - config.b
-        us[t] = u
-    y_star = us * y_dagger + (1.0 - us) * y_ddagger
-    gaps = np.abs(y_star - y_prime)
-    worst = float(gaps.max()) if count else 0.0
-    if worst > limit:
-        raise RuntimeError(f"coupling gap {worst} exceeds the 20 M bound")
+    y_prime, y_dagger, y_ddagger, y_star, us = (np.empty(count) for _ in range(5))
+
+    def chunk(lo: int, hi: int) -> None:
+        # the chunk's arrays, and any row views of them, die on return
+        images = sample_crp_images(params, rng, hi - lo)
+        y_prime[lo:hi] = block_statistic(padded, images.T)
+        inverses = np.empty_like(images)
+        inverses[np.arange(hi - lo)[:, None], images - 1] = cols
+        for t, img, inv in zip(range(lo, hi), images, inverses):
+            config = sampler.sample(rng)
+            yd = float(y_prime[t]) + math.fsum(
+                rows_c[x - 1][new - 1] - rows_c[x - 1][img[x - 1] - 1]
+                for x, new in _dagger_changes(img, inv, config).items()
+            )
+            y_dagger[t] = yd
+            y_ddagger[t] = yd - config.b
+            us[t] = float(rng.random())
+        u = us[lo:hi]
+        y_star[lo:hi] = u * y_dagger[lo:hi] + (1.0 - u) * y_ddagger[lo:hi]
+        worst = float(np.abs(y_star[lo:hi] - y_prime[lo:hi]).max())
+        if worst > limit:
+            raise RuntimeError(f"coupling gap {worst} exceeds the 20 M bound")
+
+    for lo in range(0, count, ZERO_BIAS_CHUNK_ROWS):
+        chunk(lo, min(lo + ZERO_BIAS_CHUNK_ROWS, count))
     return {
         "y_prime": y_prime,
         "y_dagger": y_dagger,

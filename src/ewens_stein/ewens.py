@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,19 +90,29 @@ def ewens_log_pmf(perm: Permutation, params: EwensParams) -> float:
     return perm.cycle_count() * math.log(theta) - log_rising_factorial(theta, params.n)
 
 
+def _exact_pmf(theta: float, n: int, cycles: int, scale: int = 1) -> float:
+    """scale * theta^cycles / theta^(n) in exact rational arithmetic at the
+    float theta, rounded once.  A float product of the ratios theta/(theta+t)
+    and 1/(theta+t) lost up to 10 ulps at n = 12, since for theta >> n every
+    1/(theta+t) rounds the same way."""
+    x = Fraction(theta)
+    return float(scale * x**cycles / math.prod(x + t for t in range(n)))
+
+
 def ewens_pmf(perm: Permutation, params: EwensParams) -> float:
     """P_theta(pi) = theta^{#(pi)} / theta^{(n)}."""
     if perm.n != params.n:
         raise ValueError(f"permutation is on [{perm.n}] but params.n = {params.n}")
-    if params.n <= _LOG_SPACE_N:
-        rising = rising_factorial(params.theta, params.n)
-        # theta^c <= theta^(n), so the power is finite wherever rising is; a
-        # quotient that underflows to 0 is redone in log space
-        if math.isfinite(rising):
-            p = params.theta ** perm.cycle_count() / rising
-            if p > 0.0:
-                return p
-    return math.exp(ewens_log_pmf(perm, params))
+    if params.n > _LOG_SPACE_N:
+        return math.exp(ewens_log_pmf(perm, params))
+    rising = rising_factorial(params.theta, params.n)
+    # theta^c <= theta^(n), so the power is finite wherever rising is; a
+    # quotient that overflows or underflows to 0 is redone exactly
+    if math.isfinite(rising):
+        p = params.theta ** perm.cycle_count() / rising
+        if p > 0.0:
+            return p
+    return _exact_pmf(params.theta, params.n, perm.cycle_count())
 
 
 def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
@@ -119,7 +130,7 @@ def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
     if n <= _LOG_SPACE_N:
         rising = rising_factorial(theta, n)
         # as in ewens_pmf: finite powers wherever rising is finite, and an
-        # underflow to 0 is redone in log space
+        # overflow or an underflow to 0 is redone exactly
         if math.isfinite(rising):
             p = math.factorial(n) / rising
             for j, c in enumerate(ctype.counts, start=1):
@@ -127,6 +138,11 @@ def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
                     p *= theta**c / (j**c * math.factorial(c))
             if p > 0.0:
                 return p
+        # n! / prod_j j^{c_j} c_j! permutations share the cycle type
+        size = math.factorial(n)
+        for j, c in enumerate(ctype.counts, start=1):
+            size //= j**c * math.factorial(c)
+        return _exact_pmf(theta, n, sum(ctype.counts), size)
     log_p = math.lgamma(n + 1) - log_rising_factorial(theta, n)
     for j, c in enumerate(ctype.counts, start=1):
         if c:

@@ -126,18 +126,12 @@ def sample_statistic_batch(A, params, total: int, seed) -> np.ndarray:
     the chunk size depends on n alone, and the output on (n, total, seed).
     """
     from .ewens import sample_crp_images
+    from .statistic import block_statistic, padded_scores
 
-    n = params.n
-    # column 0 pads each row so that 1-based images index it directly
-    padded = np.zeros((n, n + 1))
-    padded[:, 1:] = A.centered
+    padded = padded_scores(A)
 
     def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
-        block = sample_crp_images(params, rng, count).T
-        y = padded[0][block[0]]
-        for i in range(1, n):
-            y += padded[i][block[i]]
-        return y
+        return block_statistic(padded, sample_crp_images(params, rng, count).T)
 
-    parts = map_chunks(total, chunk, seed, chunk_size=batch_chunk_size(n))
+    parts = map_chunks(total, chunk, seed, chunk_size=batch_chunk_size(params.n))
     return np.concatenate(parts) if parts else np.empty(0)

@@ -154,6 +154,23 @@ def statistic(A: ScoreMatrix, perm: Permutation) -> float:
     return math.fsum(c[i, x - 1] for i, x in enumerate(perm.image))
 
 
+def padded_scores(A: ScoreMatrix) -> np.ndarray:
+    """The centered matrix behind a zero column 0, so that a 1-based image
+    pi(i) indexes row i directly: ``padded[i - 1][pi(i)]`` is a_hat[i, pi(i)]."""
+    padded = np.zeros((A.n, A.n + 1))
+    padded[:, 1:] = A.centered
+    return padded
+
+
+def block_statistic(padded: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Y for every column of an (n, size) block of 1-based images, such as
+    ``sample_crp_images(...).T``, summed in index order i = 1..n."""
+    y = padded[0][block[0]]
+    for i in range(1, len(padded)):
+        y += padded[i][block[i]]
+    return y
+
+
 def classify(i: int, j: int, perm: Permutation) -> str:
     """Which of the ten cases the ordered pair (i, j) falls in under pi.
 

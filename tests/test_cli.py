@@ -232,6 +232,26 @@ def test_experiment_csv_grid(tmp_path):
     assert ns == ["6", "6", "6", "7", "7", "7"]
 
 
+def test_experiment_keeps_its_healthy_cells(capsys):
+    # theta = 1e80 leaves sigma^2 at the noise floor; the theta = 1 cells
+    # still print, each failing cell names itself, and the exit code is 1
+    args = ["experiment", "--n-grid", "7,9", "--theta-grid", "1,1e80", "--format", "csv"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == CSV_COLUMNS
+    assert [row.split(",")[:2] for row in lines[1:]] == [["7", "1.0"], ["9", "1.0"]]
+    errors = captured.err.strip().split("\n")
+    assert len(errors) == 2
+    for error, n in zip(errors, (7, 9)):
+        assert error.startswith(f"error: n = {n}, theta = 1e+80: degenerate variance")
+    # a usage error in any cell sets the exit code to 2
+    assert main(["experiment", "--n-grid", "5,6", "--theta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: n = 5, theta = 1.0: the case analysis requires n >= 6" in captured.err
+    assert [r["n"] for r in json.loads(captured.out)] == [6]
+
+
 def test_experiment_json_list(capsys):
     assert main(["experiment", "--n", "6", "--theta-grid", "1,2"]) == 0
     reports = json.loads(capsys.readouterr().out)

@@ -8,6 +8,7 @@ import pytest
 from chisquare import chi2_upper_quantile, pearson_chi2, pool_cells
 
 from ewens_stein.coupling import (
+    ZERO_BIAS_CHUNK_ROWS,
     SquareBiasConfig,
     SquareBiasSampler,
     index_square_bias_weights,
@@ -353,6 +354,78 @@ def test_batch_matches_scalar_construction():
             assert yd != ydd
             assert yd - ydd == pytest.approx(cfg.b, abs=1e-12)
             assert abs(ys - yp) <= limit * (1.0 + 1e-9)
+
+
+def test_batch_replays_across_chunk_boundaries():
+    """A batch of about 2.5 chunks matches the oracle's construct_dagger on
+    the chunk-ordered stream (each chunk's images, then that chunk's
+    configurations and U), and every row keeps the coupling's invariants."""
+    n, theta = 8, 1.3
+    params = EwensParams(n=n, theta=theta)
+    A = random_centered(n, theta, 140)
+    sampler = SquareBiasSampler(A, params)
+    limit = 20.0 * A.max_abs
+    count = 5 * ZERO_BIAS_CHUNK_ROWS // 2 + 3
+    out = sample_zero_bias_batch(
+        A, params, count, seed=np.random.default_rng(141), sampler=sampler
+    )
+    rng = np.random.default_rng(141)
+    t = 0
+    for lo in range(0, count, ZERO_BIAS_CHUNK_ROWS):
+        rows = min(ZERO_BIAS_CHUNK_ROWS, count - lo)
+        for image in sample_crp_images(params, rng, rows):
+            cfg = sampler.sample(rng)
+            u = float(rng.random())
+            pi = Permutation([int(v) for v in image])
+            dagger = construct_dagger(pi, cfg)
+            ddagger = dagger.conjugate_by_transposition(cfg.i, cfg.j)
+            yp, yd, ydd, ys = (
+                out[key][t] for key in ("y_prime", "y_dagger", "y_ddagger", "y_star")
+            )
+            assert out["u"][t] == u
+            assert yp == pytest.approx(statistic(A, pi), abs=1e-12)
+            assert yd == pytest.approx(statistic(A, dagger), abs=1e-12)
+            assert ydd == pytest.approx(statistic(A, ddagger), abs=1e-12)
+            assert 0.0 <= u <= 1.0
+            assert ys == pytest.approx(u * yd + (1.0 - u) * ydd)
+            assert yd != ydd
+            assert yd - ydd == pytest.approx(cfg.b, abs=1e-12)
+            assert abs(ys - yp) <= limit * (1.0 + 1e-9)
+            t += 1
+    assert t == count
+
+
+def test_batch_memory_grows_only_by_its_outputs():
+    """The batch works one chunk of rows at a time, so between 1 500 and
+    6 000 rows at n = 50 its tracemalloc peak grows by the five float64
+    outputs and a small fixed allowance, not by the (count x n) images."""
+    n = 50
+    params = EwensParams(n=n, theta=1.0)
+    A = random_centered(n, 1.0, 150)
+    sampler = SquareBiasSampler(A, params)
+
+    def peak(count):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sample_zero_bias_batch(A, params, count, seed=151, sampler=sampler)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1_500), peak(6_000)
+    outputs = 5 * 8 * (6_000 - 1_500)
+    assert large - small <= outputs + 64 * 1024, (small, large)
+
+
+def test_batch_count_is_checked():
+    params = EwensParams(n=6, theta=1.0)
+    A = random_centered(6, 1.0, 160)
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        sample_zero_bias_batch(A, params, -1, seed=0)
+    out = sample_zero_bias_batch(A, params, 0, seed=0)
+    assert list(out) == ["y_prime", "y_dagger", "y_ddagger", "y_star", "u"]
+    assert all(v.shape == (0,) and v.dtype == np.float64 for v in out.values())
 
 
 def test_batch_draws_the_square_bias_law():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,36 @@ def test_pmf_at_extreme_theta_matches_log_space(theta):
         assert cycle_type_pmf(cycle_type(perm), params) == pytest.approx(
             size * expected, rel=1e-12, abs=0
         )
+
+
+@pytest.mark.parametrize(
+    "n, theta",
+    [(3, 1e120), (3, 1e200), (3, 1e308), (5, 1e70), (8, 1e40), (20, 1e16), (20, 1e300)],
+)
+def test_pmf_past_the_direct_route_is_correctly_rounded(n, theta):
+    # theta^(n) overflows here, so both pmfs leave the direct quotient; the
+    # reference is the exact rational value at the float theta, and 0 where
+    # it lies below half the smallest subnormal
+    params = EwensParams(n=n, theta=theta)
+    exact_theta = Fraction(theta)
+    rising = math.prod(exact_theta + t for t in range(n))
+    assert not math.isfinite(rising_factorial(theta, n))
+    perms = (
+        Permutation.identity(n),
+        Permutation.from_cycles(n, [(1, 2)]),
+        Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
+    )
+    for perm in perms:
+        ctype = cycle_type(perm)
+        size = math.factorial(n)
+        for j, c in enumerate(ctype.counts, start=1):
+            size //= j**c * math.factorial(c)
+        p_exact = exact_theta ** perm.cycle_count() / rising
+        for got, want in (
+            (ewens_pmf(perm, params), float(p_exact)),
+            (cycle_type_pmf(ctype, params), float(size * p_exact)),
+        ):
+            assert got == want, (perm.image, got, want)
 
 
 def test_pmf_size_mismatch():
