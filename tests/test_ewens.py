@@ -102,20 +102,16 @@ def test_pmf_past_the_direct_route_is_correctly_rounded(n, theta):
     exact_theta = Fraction(theta)
     rising = math.prod(exact_theta + t for t in range(n))
     assert not math.isfinite(rising_factorial(theta, n))
-    perms = (
-        Permutation.identity(n),
-        Permutation.from_cycles(n, [(1, 2)]),
-        Permutation.from_cycles(n, [tuple(range(1, n + 1))]),
-    )
-    for perm in perms:
-        ctype = cycle_type(perm)
-        size = math.factorial(n)
-        for j, c in enumerate(ctype.counts, start=1):
-            size //= j**c * math.factorial(c)
+    # each permutation with the size of its cycle-type class
+    for perm, size in (
+        (Permutation.identity(n), 1),
+        (Permutation.from_cycles(n, [(1, 2)]), n * (n - 1) // 2),
+        (Permutation.from_cycles(n, [tuple(range(1, n + 1))]), math.factorial(n - 1)),
+    ):
         p_exact = exact_theta ** perm.cycle_count() / rising
         for got, want in (
             (ewens_pmf(perm, params), float(p_exact)),
-            (cycle_type_pmf(ctype, params), float(size * p_exact)),
+            (cycle_type_pmf(cycle_type(perm), params), float(size * p_exact)),
         ):
             assert got == want, (perm.image, got, want)
 
