@@ -4,7 +4,9 @@ measure, and the generic three-term zero-bias bounds they instantiate.
 kappa1/kappa2 are the square roots of the fixed-point count's second and
 squared second-factorial moments; alpha1/alpha2 are the closed-form bound
 numerators, so that d1 <= alpha1/sigma and d_inf <= alpha2/sigma, with the
-integer-matrix lower bound 1/(6*sqrt(3)*sigma + 3) on d_inf.
+integer-matrix lower bound 1/(6*sqrt(3)*sigma + 3) on d_inf.  The
+closed-form bounds on the remainder moments E|R| and |E Y'R| that the
+constants rest on are ``remainder_bounds``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import DistanceEstimate
+from . import montecarlo
+from .distances import (
+    MIN_EMPIRICAL_SAMPLES,
+    DistanceEstimate,
+    empirical_distances,
+    exact_distances,
+)
 from .ewens import EwensParams, c1_moments, falling_factorial
+from .oracle import MAX_MARGINAL_N, exact_statistic_law
+from .statistic import center, sigma_squared
 
 __all__ = [
     "kappa1",
     "kappa2",
+    "remainder_bounds",
     "alpha1",
     "alpha2",
     "generic_zero_bias_bounds",
@@ -49,6 +60,33 @@ def kappa2(params: EwensParams) -> float:
     if params.n < 4:
         raise ValueError(f"kappa2 needs n >= 4, got n = {params.n}")
     return math.sqrt(c1_moments(params).fourth_factorial_sq)
+
+
+def remainder_bounds(
+    params: EwensParams, M: float, sigma: float
+) -> tuple[float, float]:
+    """Closed-form bounds (E|R| bound, |E Y'R| bound) for the remainder.
+
+        E|R|    <= theta M (12n + 8 theta - 10)/((n-1)(theta+n-1))
+                   + 2 theta^2 M / (theta+n-1)_(2)
+        |E Y'R| <= (10 kappa1 + 4 theta + 4(kappa1(theta+1) + kappa2)/n)
+                   * M sigma/(n-1)
+    """
+    n, theta = params.n, params.theta
+    if n < 6:
+        raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if M < 0:
+        raise ValueError(f"M must be nonnegative, got {M}")
+    k1, k2 = kappa1(params), kappa2(params)
+    e_abs_r = theta * M * (12 * n + 8 * theta - 10) / (
+        (n - 1) * (theta + n - 1)
+    ) + 2 * theta**2 * M / falling_factorial(theta + n - 1, 2)
+    e_yr = (10 * k1 + 4 * theta + 4 * (k1 * (theta + 1) + k2) / n) * M * sigma / (
+        n - 1
+    )
+    return e_abs_r, e_yr
 
 
 def _check_alpha_args(params: EwensParams, M: float) -> None:
@@ -238,7 +276,6 @@ def bound_report(
     samples: int = 0,
     seed=0,
     exact: bool = False,
-    force_integer_lower_bound: bool = False,
 ) -> BoundReport:
     """Full pipeline: center, variance, constants, bounds, and (optionally)
     exact or empirical distances.
@@ -246,24 +283,16 @@ def bound_report(
     sigma comes from the closed-form Var(Y) at every n, so it depends on
     neither the seed nor the sample stream used for the empirical distances.
     """
-    from .oracle import MAX_MARGINAL_N
-    from .statistic import center, sigma_squared
-    from . import montecarlo
-
     score = center(A, params)
     M = score.max_abs
     # alpha1 first: it rejects n < 6, which kappa2 and sigma^2 would not name
     a1, a2 = alpha1(params, M), alpha2(params, M)
     k1, k2 = kappa1(params), kappa2(params)
     sigma = math.sqrt(sigma_squared(score, params))
-    is_integer = score.is_integer or force_integer_lower_bound
-    lower = integer_lower_bound(sigma) if is_integer else None
+    lower = integer_lower_bound(sigma) if score.is_integer else None
 
     d1_exact = dinf_exact = None
     if exact:
-        from .distances import exact_distances
-        from .oracle import exact_statistic_law
-
         if params.n > MAX_MARGINAL_N:
             raise ValueError(
                 f"exact distances need full enumeration, capped at n <= {MAX_MARGINAL_N}; "
@@ -274,8 +303,6 @@ def bound_report(
 
     d1_emp = dinf_emp = None
     if samples:
-        from .distances import MIN_EMPIRICAL_SAMPLES, empirical_distances
-
         if samples < MIN_EMPIRICAL_SAMPLES:
             raise ValueError(
                 f"empirical distances need at least {MIN_EMPIRICAL_SAMPLES} samples; "

@@ -165,14 +165,7 @@ def cmd_pmf(args) -> int:
 def cmd_bounds(args) -> int:
     params = EwensParams(n=args.n, theta=args.theta)
     A = _resolve_matrix(args, args.n, [args.seed, 0])
-    report = bound_report(
-        A,
-        params,
-        samples=args.samples,
-        seed=args.seed,
-        exact=args.exact,
-        force_integer_lower_bound=args.force_integer_lower_bound,
-    )
+    report = bound_report(A, params, samples=args.samples, seed=args.seed, exact=args.exact)
     if args.format == "json":
         _emit(report.to_json_str() + "\n", args.out)
     else:
@@ -197,14 +190,7 @@ def cmd_experiment(args) -> int:
             params = EwensParams(n=n, theta=theta)
             A = _resolve_matrix(args, n, [args.seed, combo])
             reports.append(
-                bound_report(
-                    A,
-                    params,
-                    samples=args.samples,
-                    seed=args.seed,
-                    exact=args.exact,
-                    force_integer_lower_bound=args.force_integer_lower_bound,
-                )
+                bound_report(A, params, samples=args.samples, seed=args.seed, exact=args.exact)
             )
         except _FAILURES as exc:
             print(f"error: n = {n}, theta = {theta!r}: {exc}", file=sys.stderr)
@@ -245,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--exact", action="store_true")
         p.add_argument("--symmetrize", action="store_true")
-        p.add_argument("--force-integer-lower-bound", action="store_true")
         p.add_argument("--format", type=str, default="json", choices=("json", "csv"))
         p.add_argument("--out", type=str, default=None)
 

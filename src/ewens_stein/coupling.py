@@ -27,7 +27,6 @@ import numpy as np
 
 from .ewens import EwensParams, sample_crp_images
 from .statistic import (
-    BUCKET_SLOTS,
     SQUARE_BIAS_BUCKETS,
     _SQUARE_SUMS,
     DegenerateError,
@@ -137,10 +136,11 @@ class SquareBiasSampler:
     bucket b = alpha + sum_t eps_t u_{x_t} over distinct labels x_t, so the
     labels are then drawn one coordinate at a time: x weighs the
     ``_distinct_square_sum`` of b^2 over the coordinates still to come,
-    an O(n) vectorized computation, and ``BUCKET_SLOTS`` turns the drawn
-    labels into the bucket's (case, r, s, k, l).  Each draw reads its
-    pair's (c, q1, q2), square sums and u = a[:, i] - a[:, j] from the
-    arrays set up here, so the sampler's memory does not grow with draws.
+    an O(n) vectorized computation, and the bucket's slots in
+    ``SQUARE_BIAS_BUCKETS`` turn the drawn labels into its (case, r, s, k,
+    l).  Each draw reads its pair's (c, q1, q2), square sums and
+    u = a[:, i] - a[:, j] from the arrays set up here, so the sampler's
+    memory does not grow with draws.
     """
 
     def __init__(self, A: ScoreMatrix, params: EwensParams):
@@ -177,7 +177,7 @@ class SquareBiasSampler:
             raise DegenerateError(
                 f"degenerate square bias: pair ({i}, {j}) carries zero weight"
             )
-        bucket, name, _, _ = SQUARE_BIAS_BUCKETS[_pick(cum, rng)]
+        bucket, name, _, _, slots = SQUARE_BIAS_BUCKETS[_pick(cum, rng)]
         offset, eps = _SQUARE_SUMS[name]
         c, q1, q2 = (float(stat[at]) for stat in self._stats)
         u = self.A.centered[:, i - 1] - self.A.centered[:, j - 1]
@@ -205,7 +205,7 @@ class SquareBiasSampler:
             q1 -= ux
             q2 -= ux * ux
             labels.append(x + 1)
-        r, s, k, l = (labels[slot] for slot in BUCKET_SLOTS[bucket])
+        r, s, k, l = (labels[slot] for slot in slots)
         return bucket.partition(":")[0], r, s, k, l
 
     # -- public sampling ----------------------------------------------------

@@ -1,47 +1,38 @@
-"""The Ewens measure on S_n: pmf, CRP sampling, and exact constraint formulas.
+"""The Ewens measure on S_n: pmf, cycle-type pmf, CRP sampling and the
+fixed-point moments.
 
 The measure with parameter theta > 0 puts mass theta^{#(pi)} / theta^{(n)}
 on each permutation pi, where #(pi) is the cycle count and x^{(n)} denotes
-the rising factorial.  theta = 1 is the uniform distribution.  Probabilities
-of partially specified permutations come from the closed forms
-
-    P(pi(a) = xi_a, a in B)          = theta^{loops} / (theta+n-1)_(|B|)
-    P(rest | pi fixed on B)          = theta^{#(pi\\B)} / theta^{(n-|B|)}
-
-where ``loops`` counts the constraint chains that close into cycles and
-x_(m) is the falling factorial.
+the rising factorial.  theta = 1 is the uniform distribution.  Both pmfs
+evaluate that quotient directly in floats, and redo it exactly in integers
+where a float step leaves the normal range.  The closed forms for partially
+specified permutations and joint cycle-count moments, which only the tests
+use, live in ``oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .permutations import CycleType, Permutation, mapping_cycle_count, reduce_delete
+from .permutations import CycleType, Permutation
 
 __all__ = [
     "EwensParams",
     "rising_factorial",
     "falling_factorial",
-    "log_rising_factorial",
     "ewens_pmf",
-    "ewens_log_pmf",
     "cycle_type_pmf",
     "sample_crp_images",
-    "constrained_prob",
-    "conditional_remaining_prob",
-    "cycle_count_factorial_moment",
     "c1_moments",
     "C1Moments",
 ]
 
-# pmf switches to log-space evaluation past this size to dodge overflow in
-# theta^{(n)}; well below any float trouble for the n used in tests.
-_LOG_SPACE_N = 20
+# 170! is the largest factorial a float holds
+_MAX_FLOAT_FACTORIAL_N = 170
 
 
 @dataclass(frozen=True)
@@ -78,41 +69,34 @@ def falling_factorial(x: float, m: int) -> float:
     return out
 
 
-def log_rising_factorial(x: float, m: int) -> float:
-    """log x^{(m)} for x > 0."""
-    return math.fsum(math.log(x + t) for t in range(m))
+def _normal(*values: float) -> bool:
+    """Every value is a finite float at or above the smallest normal one."""
+    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
 
 
-def ewens_log_pmf(perm: Permutation, params: EwensParams) -> float:
-    if perm.n != params.n:
-        raise ValueError(f"permutation is on [{perm.n}] but params.n = {params.n}")
-    theta = params.theta
-    return perm.cycle_count() * math.log(theta) - log_rising_factorial(theta, params.n)
-
-
-def _exact_pmf(theta: float, n: int, cycles: int, scale: int = 1) -> float:
-    """scale * theta^cycles / theta^(n) in exact rational arithmetic at the
-    float theta, rounded once.  A float product of the ratios theta/(theta+t)
-    and 1/(theta+t) lost up to 10 ulps at n = 12, since for theta >> n every
-    1/(theta+t) rounds the same way."""
-    x = Fraction(theta)
-    return float(scale * x**cycles / math.prod(x + t for t in range(n)))
+def _exact_pmf(theta: float, n: int, cycles: int, size: int = 1) -> float:
+    """size * theta^cycles / theta^(n) exactly at the float theta = a/b,
+    rounded once: size a^cycles b^(n-cycles) / prod_t (a + t b) is a single
+    int / int division, which Python rounds correctly."""
+    a, b = theta.as_integer_ratio()
+    return size * a**cycles * b ** (n - cycles) / math.prod(a + t * b for t in range(n))
 
 
 def ewens_pmf(perm: Permutation, params: EwensParams) -> float:
     """P_theta(pi) = theta^{#(pi)} / theta^{(n)}."""
     if perm.n != params.n:
         raise ValueError(f"permutation is on [{perm.n}] but params.n = {params.n}")
-    if params.n > _LOG_SPACE_N:
-        return math.exp(ewens_log_pmf(perm, params))
-    rising = rising_factorial(params.theta, params.n)
+    theta, cycles = params.theta, perm.cycle_count()
+    rising = rising_factorial(theta, params.n)
     # theta^c <= theta^(n), so the power is finite wherever rising is; a
-    # quotient that overflows or underflows to 0 is redone exactly
-    if math.isfinite(rising):
-        p = params.theta ** perm.cycle_count() / rising
-        if p > 0.0:
+    # quotient with an operand or result outside the normal range (an
+    # overflow, or a subnormal that has lost bits) is redone exactly
+    if _normal(rising):
+        power = theta**cycles
+        p = power / rising
+        if _normal(power, p):
             return p
-    return _exact_pmf(params.theta, params.n, perm.cycle_count())
+    return _exact_pmf(theta, params.n, cycles)
 
 
 def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
@@ -127,27 +111,24 @@ def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
     if not ctype.is_valid():
         return 0.0
     theta = params.theta
-    if n <= _LOG_SPACE_N:
-        rising = rising_factorial(theta, n)
-        # as in ewens_pmf: finite powers wherever rising is finite, and an
-        # overflow or an underflow to 0 is redone exactly
-        if math.isfinite(rising):
-            p = math.factorial(n) / rising
-            for j, c in enumerate(ctype.counts, start=1):
-                if c:
-                    p *= theta**c / (j**c * math.factorial(c))
-            if p > 0.0:
-                return p
-        # n! / prod_j j^{c_j} c_j! permutations share the cycle type
-        size = math.factorial(n)
+    rising = rising_factorial(theta, n)
+    # as in ewens_pmf, the direct route stands where every factor and
+    # partial product is normal; n! must be a float, and each j^c c! divides it
+    if n <= _MAX_FLOAT_FACTORIAL_N and _normal(rising):
+        p = math.factorial(n) / rising
+        steps = [p]
         for j, c in enumerate(ctype.counts, start=1):
-            size //= j**c * math.factorial(c)
-        return _exact_pmf(theta, n, sum(ctype.counts), size)
-    log_p = math.lgamma(n + 1) - log_rising_factorial(theta, n)
+            if c:
+                factor = theta**c / (j**c * math.factorial(c))
+                p *= factor
+                steps += (factor, p)
+        if _normal(*steps):
+            return p
+    # n! / prod_j j^{c_j} c_j! permutations share the cycle type
+    size = math.factorial(n)
     for j, c in enumerate(ctype.counts, start=1):
-        if c:
-            log_p += c * (math.log(theta) - math.log(j)) - math.lgamma(c + 1)
-    return math.exp(log_p)
+        size //= j**c * math.factorial(c)
+    return _exact_pmf(theta, n, ctype.cycle_count(), size)
 
 
 def sample_crp_images(
@@ -189,87 +170,6 @@ def sample_crp_images(
         block[m - 1] = head[src]
         head[src] = m
     return block.T
-
-
-def _constraint_loops(pm: Mapping[int, int]) -> int:
-    """Number of chains in the constraint graph that close into cycles."""
-    loops = 0
-    visited: set[int] = set()
-    for start in pm:
-        if start in visited:
-            continue
-        x = start
-        while x in pm and x not in visited:
-            visited.add(x)
-            x = pm[x]
-        # pm is injective, so the walk closed a loop iff it returned to
-        # its own starting point
-        if x == start:
-            loops += 1
-    return loops
-
-
-def constrained_prob(pm: Mapping[int, int], params: EwensParams) -> float:
-    """P(pi(a) = xi_a for every constraint a -> xi_a).
-
-    Equals theta^{loops} / (theta+n-1)_(|B|) where ``loops`` counts the
-    constraint chains closed into cycles.  A non-injective constraint set
-    is unsatisfiable and yields 0 (square-bias enumeration generates and
-    discards such sets, so this is not an error).
-    """
-    n, theta = params.n, params.theta
-    if not pm:
-        return 1.0
-    targets = set()
-    for a, xi in pm.items():
-        if not (1 <= a <= n and 1 <= xi <= n):
-            raise ValueError(f"constraint {a} -> {xi} is outside [1, {n}]")
-        if xi in targets:
-            return 0.0  # inconsistent: two sources demand the same image
-        targets.add(xi)
-    loops = _constraint_loops(pm)
-    return theta**loops / falling_factorial(theta + n - 1, len(pm))
-
-
-def conditional_remaining_prob(
-    full: Mapping[int, int], given: Mapping[int, int], params: EwensParams
-) -> float:
-    """P(pi agrees with ``full`` off B | pi agrees with ``given`` on B).
-
-    B is the domain of ``given``; ``full`` must be a complete bijection of
-    [n] extending it.  The value is theta^{#(pi\\B)} / theta^{(n-|B|)}.
-    """
-    n, theta = params.n, params.theta
-    if len(full) != n or set(full.keys()) != set(range(1, n + 1)):
-        raise ValueError("'full' must specify an image for every label in [n]")
-    for a, xi in given.items():
-        if full.get(a) != xi:
-            raise ValueError(f"'full' contradicts the given constraint {a} -> {xi}")
-    perm = Permutation([full[i] for i in range(1, n + 1)])
-    reduced = reduce_delete(perm, given.keys())
-    loops = mapping_cycle_count(reduced) if reduced else 0
-    return theta**loops / rising_factorial(theta, n - len(given))
-
-
-def cycle_count_factorial_moment(m: Sequence[int], params: EwensParams) -> float:
-    """E[prod_j (c_j)_(m_j)] for the cycle counts under Ewens(theta).
-
-    With w = sum_j j*m_j the value is n_(w)/(theta+n-1)_(w) * prod (theta/j)^{m_j}
-    when w <= n, and 0 otherwise.
-    """
-    n, theta = params.n, params.theta
-    if len(m) != n:
-        raise ValueError(f"moment vector must have length n = {n}, got {len(m)}")
-    if any(mj < 0 for mj in m):
-        raise ValueError("moment orders must be nonnegative")
-    w = sum(j * mj for j, mj in enumerate(m, start=1))
-    if w > n:
-        return 0.0
-    out = falling_factorial(n, w) / falling_factorial(theta + n - 1, w)
-    for j, mj in enumerate(m, start=1):
-        if mj:
-            out *= (theta / j) ** mj
-    return out
 
 
 @dataclass(frozen=True)

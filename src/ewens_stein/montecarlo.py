@@ -17,6 +17,9 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from .ewens import sample_crp_images
+from .statistic import block_statistic, padded_scores
+
 __all__ = [
     "worker_count",
     "chunk_counts",
@@ -125,9 +128,6 @@ def sample_statistic_batch(A, params, total: int, seed) -> np.ndarray:
     hold at most 2**22 image entries, so memory stays bounded as n grows;
     the chunk size depends on n alone, and the output on (n, total, seed).
     """
-    from .ewens import sample_crp_images
-    from .statistic import block_statistic, padded_scores
-
     padded = padded_scores(A)
 
     def chunk(rng: np.random.Generator, count: int) -> np.ndarray:

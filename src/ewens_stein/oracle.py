@@ -1,8 +1,9 @@
-"""Brute-force exact computation over S_n, used as ground truth.
+"""Reference computations for the tests: brute-force enumeration over S_n,
+and closed forms that no production route calls.
 
-Everything here works by enumerating all n! permutations and weighting them
-with the Ewens pmf, so it is deliberately independent of the constructive
-samplers and case-by-case formulas it is used to check.
+The enumerating references weight all n! permutations with the Ewens pmf,
+so they are deliberately independent of the constructive samplers and
+case-by-case formulas they are used to check.
 ``exact_statistic_law`` builds S_n by insertion (label m becomes a fixed
 point or goes in just after an earlier label), once per n and process,
 which yields each permutation's cycle count as it goes; it calls nothing
@@ -21,6 +22,21 @@ coupling's own construction, so that it can be compared with
 surgery on ``Permutation`` objects, checking every invariant it promises,
 and ``_config_weight`` gives a configuration's exact mass
 b^2 * P(constraints).
+
+The closed-form references sit beside them: a permutation's cycle type and
+the deletion of labels from its cycles (``cycle_type``, ``reduce_delete``,
+``mapping_cycles``); the Ewens probabilities of partially specified
+permutations,
+
+    P(pi(a) = xi_a, a in B)          = theta^{loops} / (theta+n-1)_(|B|)
+    P(rest | pi fixed on B)          = theta^{#(pi\\B)} / theta^{(n-|B|)}
+
+where ``loops`` counts the constraint chains that close into cycles and
+x_(m) is the falling factorial (``constrained_prob``,
+``conditional_remaining_prob``), and the joint factorial moments of the
+cycle counts (``cycle_count_factorial_moment``); the scalar Y of one
+permutation and the case of one ordered pair (``statistic``,
+``classify``).
 """
 
 from __future__ import annotations
@@ -29,26 +45,19 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .coupling import SquareBiasConfig, index_square_bias_weights
-from .ewens import (
-    EwensParams,
-    _constraint_loops,
-    constrained_prob,
-    ewens_pmf,
-    rising_factorial,
-)
-from .permutations import Permutation, reduce_delete
+from .ewens import EwensParams, ewens_pmf, falling_factorial, rising_factorial
+from .permutations import CycleType, Permutation
 from .statistic import (
     CASE_LABELS,
     DegenerateError,
     ScoreMatrix,
     _case_constraints,
     b_value,
-    statistic,
     t_statistic,
 )
 
@@ -65,6 +74,15 @@ __all__ = [
     "constructive_square_bias_law",
     "construct_dagger",
     "iter_case_configs",
+    "cycle_type",
+    "reduce_delete",
+    "mapping_cycles",
+    "mapping_cycle_count",
+    "constrained_prob",
+    "conditional_remaining_prob",
+    "cycle_count_factorial_moment",
+    "statistic",
+    "classify",
 ]
 
 MAX_MARGINAL_N = 8
@@ -82,6 +100,182 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         )
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+
+
+# ---------------------------------------------------------------------------
+# Closed-form references: permutation helpers, the Ewens constraint
+# probabilities and cycle-count moments, and Y and the case of one pair
+# ---------------------------------------------------------------------------
+
+
+def cycle_type(perm: Permutation) -> CycleType:
+    """The vector (c_1, ..., c_n) where c_q is the number of q-cycles."""
+    counts = [0] * perm.n
+    for cyc in perm.cycles():
+        counts[len(cyc) - 1] += 1
+    return CycleType(counts)
+
+
+def reduce_delete(perm: Permutation, B: Iterable[int]) -> dict[int, int]:
+    """The permutation pi\\B on [n] \\ B, keeping original labels.
+
+    Each element of B is deleted from its cycle and the gap is closed, so
+    the successor of a surviving x is the first iterate of pi past any
+    deleted elements.  Returned as a plain {label: image} mapping since the
+    ground set is no longer [m].
+    """
+    dropped = set(B)
+    img = perm.image
+    out: dict[int, int] = {}
+    for x in range(1, perm.n + 1):
+        if x in dropped:
+            continue
+        y = img[x - 1]
+        while y in dropped:
+            y = img[y - 1]
+        out[x] = y
+    return out
+
+
+def mapping_cycles(mapping: Mapping[int, int]) -> list[tuple[int, ...]]:
+    """Cycle decomposition of a bijection given as a {label: image} dict."""
+    if set(mapping.keys()) != set(mapping.values()):
+        raise ValueError("mapping is not a bijection of its support")
+    seen: set[int] = set()
+    out = []
+    for start in sorted(mapping):
+        if start in seen:
+            continue
+        cyc = []
+        x = start
+        while x not in seen:
+            seen.add(x)
+            cyc.append(x)
+            x = mapping[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def mapping_cycle_count(mapping: Mapping[int, int]) -> int:
+    return len(mapping_cycles(mapping))
+
+
+def _constraint_loops(pm: Mapping[int, int]) -> int:
+    """Number of chains in the constraint graph that close into cycles."""
+    loops = 0
+    visited: set[int] = set()
+    for start in pm:
+        if start in visited:
+            continue
+        x = start
+        while x in pm and x not in visited:
+            visited.add(x)
+            x = pm[x]
+        # pm is injective, so the walk closed a loop iff it returned to
+        # its own starting point
+        if x == start:
+            loops += 1
+    return loops
+
+
+def constrained_prob(pm: Mapping[int, int], params: EwensParams) -> float:
+    """P(pi(a) = xi_a for every constraint a -> xi_a).
+
+    Equals theta^{loops} / (theta+n-1)_(|B|) where ``loops`` counts the
+    constraint chains closed into cycles.  A non-injective constraint set
+    is unsatisfiable and yields 0 (square-bias enumeration generates and
+    discards such sets, so this is not an error).
+    """
+    n, theta = params.n, params.theta
+    if not pm:
+        return 1.0
+    targets = set()
+    for a, xi in pm.items():
+        if not (1 <= a <= n and 1 <= xi <= n):
+            raise ValueError(f"constraint {a} -> {xi} is outside [1, {n}]")
+        if xi in targets:
+            return 0.0  # inconsistent: two sources demand the same image
+        targets.add(xi)
+    loops = _constraint_loops(pm)
+    return theta**loops / falling_factorial(theta + n - 1, len(pm))
+
+
+def conditional_remaining_prob(
+    full: Mapping[int, int], given: Mapping[int, int], params: EwensParams
+) -> float:
+    """P(pi agrees with ``full`` off B | pi agrees with ``given`` on B).
+
+    B is the domain of ``given``; ``full`` must be a complete bijection of
+    [n] extending it.  The value is theta^{#(pi\\B)} / theta^{(n-|B|)}.
+    """
+    n, theta = params.n, params.theta
+    if len(full) != n or set(full.keys()) != set(range(1, n + 1)):
+        raise ValueError("'full' must specify an image for every label in [n]")
+    for a, xi in given.items():
+        if full.get(a) != xi:
+            raise ValueError(f"'full' contradicts the given constraint {a} -> {xi}")
+    perm = Permutation([full[i] for i in range(1, n + 1)])
+    reduced = reduce_delete(perm, given.keys())
+    loops = mapping_cycle_count(reduced) if reduced else 0
+    return theta**loops / rising_factorial(theta, n - len(given))
+
+
+def cycle_count_factorial_moment(m: Sequence[int], params: EwensParams) -> float:
+    """E[prod_j (c_j)_(m_j)] for the cycle counts under Ewens(theta).
+
+    With w = sum_j j*m_j the value is n_(w)/(theta+n-1)_(w) * prod (theta/j)^{m_j}
+    when w <= n, and 0 otherwise.
+    """
+    n, theta = params.n, params.theta
+    if len(m) != n:
+        raise ValueError(f"moment vector must have length n = {n}, got {len(m)}")
+    if any(mj < 0 for mj in m):
+        raise ValueError("moment orders must be nonnegative")
+    w = sum(j * mj for j, mj in enumerate(m, start=1))
+    if w > n:
+        return 0.0
+    out = falling_factorial(n, w) / falling_factorial(theta + n - 1, w)
+    for j, mj in enumerate(m, start=1):
+        if mj:
+            out *= (theta / j) ** mj
+    return out
+
+
+def statistic(A: ScoreMatrix, perm: Permutation) -> float:
+    """Y = sum_i a_hat[i, pi(i)] on the centered matrix."""
+    if perm.n != A.n:
+        raise ValueError(f"permutation of [{perm.n}] vs matrix of size {A.n}")
+    c = A.centered
+    return math.fsum(c[i, x - 1] for i, x in enumerate(perm.image))
+
+
+def classify(i: int, j: int, perm: Permutation) -> str:
+    """Which of the ten cases the ordered pair (i, j) falls in under pi.
+
+    Decided from pi(i), pi(j) alone except for the A5 split, which also
+    needs the cycle lengths of i and j.
+    """
+    if i == j:
+        raise ValueError(f"classify needs distinct labels, got i = j = {i}")
+    k, l = perm(i), perm(j)
+    if k == i:
+        return "A0_1" if l == j else "A1"
+    if l == j:
+        return "A2"
+    if k == j:
+        return "A0_2" if l == i else "A3"
+    if l == i:
+        return "A4"
+    # all four of i, j, k, l distinct
+    len_i2 = perm.cycle_len(i) == 2
+    len_j2 = perm.cycle_len(j) == 2
+    if len_i2 and len_j2:
+        return "A5_1"
+    if len_i2:
+        return "A5_2"
+    if len_j2:
+        return "A5_3"
+    return "A5_4"
 
 
 class DiscreteLaw:

@@ -1,24 +1,19 @@
-"""Permutations of {1, ..., n} with cycle bookkeeping.
+"""Permutations of {1, ..., n} with cycle bookkeeping, and cycle-count
+vectors.
 
-All public labels are 1-based (elements of [n] = {1, ..., n}); the internal
-image array is also kept 1-based so that serialization is a plain copy.
-Cycle structure is computed once and cached, since everything downstream
-(Ewens weights, case classification, reduced permutations) keeps asking
-for it.
+All public labels are 1-based (elements of [n] = {1, ..., n}), and so is
+the internal image array.  Cycle structure is computed once and cached,
+since the Ewens weight and the oracle's case classification keep asking
+for it.  The cycle type of a permutation and the deletion of labels from
+its cycles (``cycle_type``, ``reduce_delete``) serve only as references
+and live in ``oracle.py``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
-__all__ = [
-    "Permutation",
-    "CycleType",
-    "cycle_type",
-    "reduce_delete",
-    "mapping_cycles",
-    "mapping_cycle_count",
-]
+__all__ = ["Permutation", "CycleType"]
 
 
 class Permutation:
@@ -158,12 +153,6 @@ class Permutation:
         img[pi - 1], img[pj - 1] = j, i
         return Permutation(img)
 
-    # -- serialization ----------------------------------------------------
-
-    def to_list(self) -> list[int]:
-        """JSON-friendly 1-based image array."""
-        return list(self._image)
-
 
 class CycleType:
     """Cycle-count vector c = (c_1, ..., c_n); c_j counts the j-cycles."""
@@ -202,58 +191,3 @@ class CycleType:
 
     def __repr__(self) -> str:
         return f"CycleType{self._counts}"
-
-    def to_list(self) -> list[int]:
-        return list(self._counts)
-
-
-def cycle_type(perm: Permutation) -> CycleType:
-    """The vector (c_1, ..., c_n) where c_q is the number of q-cycles."""
-    counts = [0] * perm.n
-    for cyc in perm.cycles():
-        counts[len(cyc) - 1] += 1
-    return CycleType(counts)
-
-
-def reduce_delete(perm: Permutation, B: Iterable[int]) -> dict[int, int]:
-    """The permutation pi\\B on [n] \\ B, keeping original labels.
-
-    Each element of B is deleted from its cycle and the gap is closed, so
-    the successor of a surviving x is the first iterate of pi past any
-    deleted elements.  Returned as a plain {label: image} mapping since the
-    ground set is no longer [m].
-    """
-    dropped = set(B)
-    img = perm.image
-    out: dict[int, int] = {}
-    for x in range(1, perm.n + 1):
-        if x in dropped:
-            continue
-        y = img[x - 1]
-        while y in dropped:
-            y = img[y - 1]
-        out[x] = y
-    return out
-
-
-def mapping_cycles(mapping: Mapping[int, int]) -> list[tuple[int, ...]]:
-    """Cycle decomposition of a bijection given as a {label: image} dict."""
-    if set(mapping.keys()) != set(mapping.values()):
-        raise ValueError("mapping is not a bijection of its support")
-    seen: set[int] = set()
-    out = []
-    for start in sorted(mapping):
-        if start in seen:
-            continue
-        cyc = []
-        x = start
-        while x not in seen:
-            seen.add(x)
-            cyc.append(x)
-            x = mapping[x]
-        out.append(tuple(cyc))
-    return out
-
-
-def mapping_cycle_count(mapping: Mapping[int, int]) -> int:
-    return len(mapping_cycles(mapping))

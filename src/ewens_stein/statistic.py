@@ -1,10 +1,14 @@
 """The combinatorial statistic Y = sum_i a_{i,pi(i)} and its Stein machinery.
 
-Takes a symmetric score matrix through centering, the ten-case partition of
-ordered index pairs, the pair-difference values b, the remainder statistic T
-(whose conditional expectation is the Stein remainder R), the closed-form
-variance sigma^2 = Var(Y), the decomposition of E(Y'-Y'')^2 into case sums,
-and closed-form bounds on the remainder moments.
+Takes a symmetric score matrix through centering, the column-block sum of
+Y over batches of image rows, the pair-difference values b of the ten-case
+partition of ordered index pairs, the remainder statistic T (whose
+conditional expectation is the Stein remainder R), the closed-form variance
+sigma^2 = Var(Y), the decomposition of E(Y'-Y'')^2 into case sums, and the
+square-sum kernel behind the square-bias weights.  The scalar Y of one
+permutation and the case of one pair (``statistic``, ``classify``) serve
+only as references and live in ``oracle.py``; the closed-form remainder
+bounds live in ``bounds.py``.
 
 Conventions fixed here and used everywhere downstream:
   * matrices are centered internally (grand mean removed), so all Stein
@@ -30,13 +34,10 @@ __all__ = [
     "VarianceDecomposition",
     "grand_mean",
     "center",
-    "statistic",
-    "classify",
     "b_value",
     "t_statistic",
     "sigma_squared",
     "variance_decomposition",
-    "remainder_bounds",
 ]
 
 # The ten-case partition of ordered pairs (i, j), i != j: A0 cases have
@@ -146,14 +147,6 @@ def center(A: np.ndarray, params: EwensParams) -> ScoreMatrix:
     )
 
 
-def statistic(A: ScoreMatrix, perm: Permutation) -> float:
-    """Y = sum_i a_hat[i, pi(i)] on the centered matrix."""
-    if perm.n != A.n:
-        raise ValueError(f"permutation of [{perm.n}] vs matrix of size {A.n}")
-    c = A.centered
-    return math.fsum(c[i, x - 1] for i, x in enumerate(perm.image))
-
-
 def padded_scores(A: ScoreMatrix) -> np.ndarray:
     """The centered matrix behind a zero column 0, so that a 1-based image
     pi(i) indexes row i directly: ``padded[i - 1][pi(i)]`` is a_hat[i, pi(i)]."""
@@ -169,35 +162,6 @@ def block_statistic(padded: np.ndarray, block: np.ndarray) -> np.ndarray:
     for i in range(1, len(padded)):
         y += padded[i][block[i]]
     return y
-
-
-def classify(i: int, j: int, perm: Permutation) -> str:
-    """Which of the ten cases the ordered pair (i, j) falls in under pi.
-
-    Decided from pi(i), pi(j) alone except for the A5 split, which also
-    needs the cycle lengths of i and j.
-    """
-    if i == j:
-        raise ValueError(f"classify needs distinct labels, got i = j = {i}")
-    k, l = perm(i), perm(j)
-    if k == i:
-        return "A0_1" if l == j else "A1"
-    if l == j:
-        return "A2"
-    if k == j:
-        return "A0_2" if l == i else "A3"
-    if l == i:
-        return "A4"
-    # all four of i, j, k, l distinct
-    len_i2 = perm.cycle_len(i) == 2
-    len_j2 = perm.cycle_len(j) == 2
-    if len_i2 and len_j2:
-        return "A5_1"
-    if len_i2:
-        return "A5_2"
-    if len_j2:
-        return "A5_3"
-    return "A5_4"
 
 
 def _check_case_args(
@@ -491,42 +455,27 @@ _SQUARE_SUMS = {
 
 # The sub-case buckets of a pair's square-bias weight: the bucket (its case
 # before the colon), its square sum, the power of theta its closed loops
-# give, and its number k of constraints.  The bucket weighs
+# give, its number k of constraints, and its slots.  The bucket weighs
 # theta^power * sum / (theta+n-1)_(k); summed over a case it is the case's
-# share of E[b^2(i, j, ...)].
+# share of E[b^2(i, j, ...)].  The slots say where the bucket's
+# (r, s, k, l) = (pre_i, pre_j, post_i, post_j) come from: indices into
+# (i, j, x_1, x_2, ...), with x_t the label drawn for coordinate t of the
+# square sum.  A2, A4 and A5_3 mirror A1, A3 and A5_2; an A5_4 chain's
+# zero-sign coordinate is its free middle label.
 SQUARE_BIAS_BUCKETS = (
-    ("A1:cycle", "A1_cycle", 2, 3),
-    ("A1:chain", "A1_chain", 1, 3),
-    ("A2:cycle", "A1_cycle", 2, 3),
-    ("A2:chain", "A1_chain", 1, 3),
-    ("A3:chain", "A3", 0, 3),
-    ("A4:chain", "A3", 0, 3),
-    ("A5_1", "A5_1", 2, 4),
-    ("A5_2", "A5_2", 1, 4),
-    ("A5_3", "A5_2", 1, 4),
-    ("A5_4:chain_sk", "A5_4_chain", 0, 4),
-    ("A5_4:chain_lr", "A5_4_chain", 0, 4),
-    ("A5_4:free", "A5_4_free", 0, 4),
+    ("A1:cycle", "A1_cycle", 2, 3, (0, 2, 0, 2)),
+    ("A1:chain", "A1_chain", 1, 3, (0, 2, 0, 3)),
+    ("A2:cycle", "A1_cycle", 2, 3, (2, 1, 2, 1)),
+    ("A2:chain", "A1_chain", 1, 3, (2, 1, 3, 1)),
+    ("A3:chain", "A3", 0, 3, (2, 0, 1, 3)),
+    ("A4:chain", "A3", 0, 3, (1, 2, 3, 0)),
+    ("A5_1", "A5_1", 2, 4, (2, 3, 2, 3)),
+    ("A5_2", "A5_2", 1, 4, (2, 3, 2, 4)),
+    ("A5_3", "A5_2", 1, 4, (3, 2, 4, 2)),
+    ("A5_4:chain_sk", "A5_4_chain", 0, 4, (2, 3, 3, 4)),
+    ("A5_4:chain_lr", "A5_4_chain", 0, 4, (3, 4, 2, 3)),
+    ("A5_4:free", "A5_4_free", 0, 4, (2, 3, 4, 5)),
 )
-
-# Where each bucket's (r, s, k, l) = (pre_i, pre_j, post_i, post_j) come
-# from: slot indices into (i, j, x_1, x_2, ...), with x_t the label drawn
-# for coordinate t of the bucket's square sum.  A2, A4 and A5_3 mirror A1,
-# A3 and A5_2; an A5_4 chain's zero-sign coordinate is its free middle label.
-BUCKET_SLOTS = {
-    "A1:cycle": (0, 2, 0, 2),
-    "A1:chain": (0, 2, 0, 3),
-    "A2:cycle": (2, 1, 2, 1),
-    "A2:chain": (2, 1, 3, 1),
-    "A3:chain": (2, 0, 1, 3),
-    "A4:chain": (1, 2, 3, 0),
-    "A5_1": (2, 3, 2, 3),
-    "A5_2": (2, 3, 2, 4),
-    "A5_3": (3, 2, 4, 2),
-    "A5_4:chain_sk": (2, 3, 3, 4),
-    "A5_4:chain_lr": (3, 4, 2, 3),
-    "A5_4:free": (2, 3, 4, 5),
-}
 
 
 def _distinct_square_sum(m: int, q1, q2, alpha, eps: tuple[float, ...]):
@@ -596,7 +545,7 @@ def _bucket_factors(params: EwensParams) -> list[tuple[str, float, float]]:
     theta = params.theta
     return [
         (name, theta**power, falling_factorial(theta + params.n - 1, k))
-        for _, name, power, k in SQUARE_BIAS_BUCKETS
+        for _, name, power, k, _ in SQUARE_BIAS_BUCKETS
     ]
 
 
@@ -612,7 +561,7 @@ def _pair_case_sums(A: ScoreMatrix, params: EwensParams) -> dict[str, np.ndarray
     b^2 theta^{loops}: an (n, n) array for each case that can carry b != 0."""
     _, sums = _pair_sums(A.centered)
     out: dict[str, np.ndarray] = {}
-    for bucket, name, power, _ in SQUARE_BIAS_BUCKETS:
+    for bucket, name, power, _, _ in SQUARE_BIAS_BUCKETS:
         case = bucket.partition(":")[0]
         out[case] = out.get(case, 0.0) + params.theta**power * sums[name]
     return out
@@ -621,32 +570,3 @@ def _pair_case_sums(A: ScoreMatrix, params: EwensParams) -> dict[str, np.ndarray
 def _case_sums_closed(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
     """The per-case sums of b^2 theta^{loops} over all ordered pairs."""
     return {case: float(v.sum()) for case, v in _pair_case_sums(A, params).items()}
-
-
-def remainder_bounds(
-    params: EwensParams, M: float, sigma: float
-) -> tuple[float, float]:
-    """Closed-form bounds (E|R| bound, |E Y'R| bound) for the remainder.
-
-        E|R|    <= theta M (12n + 8 theta - 10)/((n-1)(theta+n-1))
-                   + 2 theta^2 M / (theta+n-1)_(2)
-        |E Y'R| <= (10 kappa1 + 4 theta + 4(kappa1(theta+1) + kappa2)/n)
-                   * M sigma/(n-1)
-    """
-    from .bounds import kappa1, kappa2  # deferred: bounds imports this module
-
-    n, theta = params.n, params.theta
-    if n < 6:
-        raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if M < 0:
-        raise ValueError(f"M must be nonnegative, got {M}")
-    k1, k2 = kappa1(params), kappa2(params)
-    e_abs_r = theta * M * (12 * n + 8 * theta - 10) / (
-        (n - 1) * (theta + n - 1)
-    ) + 2 * theta**2 * M / falling_factorial(theta + n - 1, 2)
-    e_yr = (10 * k1 + 4 * theta + 4 * (k1 * (theta + 1) + k2) / n) * M * sigma / (
-        n - 1
-    )
-    return e_abs_r, e_yr

@@ -28,25 +28,20 @@ from ewens_stein.bounds import (
     kappa2,
 )
 from ewens_stein.coupling import SquareBiasSampler, sample_zero_bias_batch
-from ewens_stein.ewens import (
-    EwensParams,
-    c1_moments,
-    cycle_count_factorial_moment,
-    ewens_pmf,
-    sample_crp_images,
-)
+from ewens_stein.ewens import EwensParams, c1_moments, ewens_pmf, sample_crp_images
 from ewens_stein.oracle import (
+    classify,
     constructive_square_bias_law,
+    cycle_count_factorial_moment,
+    cycle_type,
     enumerate_permutations,
     exact_square_bias_law,
     exact_statistic_law,
+    statistic,
 )
-from ewens_stein.permutations import cycle_type
 from ewens_stein.statistic import (
     b_value,
     center,
-    classify,
-    statistic,
     t_statistic,
     variance_decomposition,
 )

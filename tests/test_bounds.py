@@ -170,12 +170,6 @@ def test_bound_report_non_integer_has_no_lower_bound():
     raw = rng.random((6, 6))
     rep = bound_report((raw + raw.T) / 2, EwensParams(n=6, theta=1.0))
     assert rep.dinf_lower is None
-    forced = bound_report(
-        (raw + raw.T) / 2,
-        EwensParams(n=6, theta=1.0),
-        force_integer_lower_bound=True,
-    )
-    assert forced.dinf_lower == pytest.approx(integer_lower_bound(forced.sigma))
 
 
 def test_bound_report_empirical_consistency():

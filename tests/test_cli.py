@@ -114,6 +114,10 @@ def test_bounds_matrix_json_file(tmp_path, capsys):
     assert main(["bounds", "--n", "6", "--matrix", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["dinf_lower"] is None
+    # the integer-matrix bound need not hold here, and no option forces it
+    argv = ["bounds", "--n", "6", "--matrix", str(path), "--force-integer-lower-bound"]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bounds_matrix_errors(tmp_path, capsys):

@@ -14,29 +14,26 @@ from ewens_stein.coupling import (
     index_square_bias_weights,
     sample_zero_bias_batch,
 )
-from ewens_stein.ewens import (
-    EwensParams,
-    constrained_prob,
-    falling_factorial,
-    sample_crp_images,
-)
+from ewens_stein.ewens import EwensParams, falling_factorial, sample_crp_images
 from ewens_stein.oracle import (
     MAX_JOINT_N,
     _config_weight,
     _pair_case_sums_direct,
+    classify,
+    constrained_prob,
     construct_dagger,
     constructive_square_bias_law,
     exact_square_bias_law,
     iter_case_configs,
+    reduce_delete,
+    statistic,
 )
-from ewens_stein.permutations import Permutation, reduce_delete
+from ewens_stein.permutations import Permutation
 from ewens_stein.statistic import (
     DegenerateError,
     _pair_case_sums,
     b_value,
     center,
-    classify,
-    statistic,
     variance_decomposition,
 )
 

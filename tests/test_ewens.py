@@ -4,22 +4,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ewens_stein import ewens
 from ewens_stein.ewens import (
     C1Moments,
     EwensParams,
     c1_moments,
-    conditional_remaining_prob,
-    constrained_prob,
-    cycle_count_factorial_moment,
     cycle_type_pmf,
-    ewens_log_pmf,
     ewens_pmf,
     falling_factorial,
     rising_factorial,
     sample_crp_images,
 )
-from ewens_stein.oracle import enumerate_permutations
-from ewens_stein.permutations import CycleType, Permutation, cycle_type
+from ewens_stein.oracle import (
+    conditional_remaining_prob,
+    constrained_prob,
+    cycle_count_factorial_moment,
+    cycle_type,
+    enumerate_permutations,
+)
+from ewens_stein.permutations import CycleType, Permutation
 
 
 def test_params_validation():
@@ -67,23 +70,21 @@ def test_pmf_weights_by_cycle_count():
     assert ewens_pmf(Permutation([2, 3, 1]), params) == pytest.approx(1.0 / 12.0)
 
 
-def test_log_pmf_consistency():
-    params = EwensParams(n=6, theta=1.7)
-    for p in [Permutation.identity(6), Permutation([2, 3, 1, 5, 4, 6])]:
-        assert math.exp(ewens_log_pmf(p, params)) == pytest.approx(
-            ewens_pmf(p, params), rel=1e-13
-        )
+def exact_pmf(theta, n, cycles):
+    """theta^cycles / theta^(n) as an exact rational at the float theta."""
+    x = Fraction(theta)
+    return x**cycles / math.prod(x + t for t in range(n))
 
 
 @pytest.mark.parametrize("theta", [1e-200, 1e120, 1e308])
 def test_pmf_at_extreme_theta_matches_log_space(theta):
-    # the direct quotient over/underflows at the ends; its log-space value
+    # the direct quotient over/underflows at the ends; the exact value
     # stands in wherever it would print 0 or raise
     params = EwensParams(n=3, theta=theta)
     # one representative per cycle type, with the size of its class
     for image, size in (([1, 2, 3], 1), ([2, 1, 3], 3), ([2, 3, 1], 2)):
         perm = Permutation(image)
-        expected = math.exp(ewens_log_pmf(perm, params))
+        expected = float(exact_pmf(theta, 3, perm.cycle_count()))
         assert ewens_pmf(perm, params) == pytest.approx(expected, rel=1e-12, abs=0)
         assert cycle_type_pmf(cycle_type(perm), params) == pytest.approx(
             size * expected, rel=1e-12, abs=0
@@ -114,6 +115,56 @@ def test_pmf_past_the_direct_route_is_correctly_rounded(n, theta):
             (cycle_type_pmf(cycle_type(perm), params), float(size * p_exact)),
         ):
             assert got == want, (perm.image, got, want)
+
+
+def ulps_off(got, want):
+    """|got - want| in units in the last place of want rounded to a float."""
+    return abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
+
+
+@pytest.mark.parametrize("n", [21, 50, 150, 171, 300])
+@pytest.mark.parametrize("theta", [0.001, 0.5, 1.0, 1e5, 1e120])
+def test_pmf_past_n_20_is_accurate(n, theta, monkeypatch):
+    # one route at every n: the direct float quotient, within 64 ulps of the
+    # exact value, and the exact redo, correctly rounded, wherever a float
+    # step leaves the normal range (n! itself stops being a float at 171)
+    redone = []
+
+    def spy(*args):
+        redone.append(args)
+        return exact_redo(*args)
+
+    exact_redo = ewens._exact_pmf
+    monkeypatch.setattr(ewens, "_exact_pmf", spy)
+    params = EwensParams(n=n, theta=theta)
+    for perm, size in (
+        (Permutation.identity(n), 1),
+        (Permutation.from_cycles(n, [(1, 2)]), n * (n - 1) // 2),
+        (Permutation.from_cycles(n, [tuple(range(1, n + 1))]), math.factorial(n - 1)),
+    ):
+        p_exact = exact_pmf(theta, n, perm.cycle_count())
+        for pmf, arg, want in (
+            (ewens_pmf, perm, p_exact),
+            (cycle_type_pmf, cycle_type(perm), size * p_exact),
+        ):
+            redone.clear()
+            got = pmf(arg, params)
+            if redone:
+                assert got == float(want), (pmf.__name__, perm.cycles()[:2], got)
+            else:
+                assert ulps_off(got, want) <= 64, (pmf.__name__, perm.cycles()[:2], got)
+
+
+@pytest.mark.parametrize("n, theta", [(2, 1e-160), (3, 1e-105), (20, 1e-15)])
+def test_pmf_with_a_subnormal_step_stays_accurate(n, theta):
+    # theta^c, or a cycle-type factor theta^c / (j^c c!), is subnormal here
+    # while the pmf itself is normal: the direct quotient would carry the
+    # subnormal's lost bits into a relative error near 1e-5
+    params = EwensParams(n=n, theta=theta)
+    identity = Permutation.identity(n)
+    want = exact_pmf(theta, n, n)
+    assert ulps_off(ewens_pmf(identity, params), want) <= 64
+    assert ulps_off(cycle_type_pmf(cycle_type(identity), params), want) <= 64
 
 
 def test_pmf_size_mismatch():

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from ewens_stein.ewens import EwensParams, constrained_prob, ewens_pmf
+from ewens_stein.bounds import remainder_bounds
+from ewens_stein.ewens import EwensParams, ewens_pmf
 from ewens_stein.oracle import (
     _case_sums_direct,
+    classify,
     enumerate_permutations,
     exact_expectation,
     exact_remainder,
     exact_statistic_law,
     iter_case_configs,
+    statistic,
 )
 from ewens_stein.permutations import Permutation
 from ewens_stein.statistic import (
@@ -23,11 +26,8 @@ from ewens_stein.statistic import (
     _distinct_square_sum,
     b_value,
     center,
-    classify,
     grand_mean,
-    remainder_bounds,
     sigma_squared,
-    statistic,
     t_statistic,
     variance_decomposition,
 )
