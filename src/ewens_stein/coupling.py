@@ -19,7 +19,6 @@ reference for that surgery is ``oracle.construct_dagger``.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -35,8 +34,8 @@ from .statistic import (
     _bucket_weights,
     _case_constraints,
     _check_case_args,
-    _distinct_square_sum,
     _pair_sums,
+    _square_sum_coefficients,
     b_value,
     block_statistic,
     padded_scores,
@@ -135,12 +134,15 @@ class SquareBiasSampler:
     the sub-case bucket is drawn from its closed-form weight.  In every
     bucket b = alpha + sum_t eps_t u_{x_t} over distinct labels x_t, so the
     labels are then drawn one coordinate at a time: x weighs the
-    ``_distinct_square_sum`` of b^2 over the coordinates still to come,
-    an O(n) vectorized computation, and the bucket's slots in
-    ``SQUARE_BIAS_BUCKETS`` turn the drawn labels into its (case, r, s, k,
-    l).  Each draw reads its pair's (c, q1, q2), square sums and
-    u = a[:, i] - a[:, j] from the arrays set up here, so the sampler's
-    memory does not grow with draws.
+    ``_distinct_square_sum`` of b^2 over the coordinates still to come.
+    That weight is a quadratic c0 + c1 u_x + c2 u_x^2 whose scalar
+    coefficients ``_square_sum_coefficients`` builds from the kernel's
+    counting factors, so a step costs four array operations on u; the
+    last coordinate weighs b^2 itself, so a label leaving b = 0 weighs
+    exactly 0.  The bucket's slots in ``SQUARE_BIAS_BUCKETS`` turn the
+    drawn labels into its (case, r, s, k, l).  Each draw reads its pair's
+    (c, q1, q2), square sums and u = a[:, i] - a[:, j] from the arrays
+    set up here, so the sampler's memory does not grow with draws.
     """
 
     def __init__(self, A: ScoreMatrix, params: EwensParams):
@@ -180,31 +182,45 @@ class SquareBiasSampler:
         bucket, name, _, _, slots = SQUARE_BIAS_BUCKETS[_pick(cum, rng)]
         offset, eps = _SQUARE_SUMS[name]
         c, q1, q2 = (float(stat[at]) for stat in self._stats)
-        u = self.A.centered[:, i - 1] - self.A.centered[:, j - 1]
+        # the matrix is symmetric, so rows i and j are its columns i and j
+        u = self.A.centered[i - 1] - self.A.centered[j - 1]
         # b = alpha + sum_t eps_t u_{x_t}: alpha absorbs each drawn label and
         # (q1, q2) keep the power sums of the labels still free; index x is
         # label x + 1, and i, j are never free
         alpha = c if offset else 0.0
-        free = np.ones(self.n, dtype=bool)
-        free[i - 1] = free[j - 1] = False
-        labels = [i, j]
+        drawn = [i - 1, j - 1]
         for t, e in enumerate(eps):
-            # the weight of x sums b^2 over the distinct tails drawn after it
-            w = _distinct_square_sum(
-                self.n - t - 3, q1 - u, q2 - u * u, alpha + e * u, eps[t + 1 :]
-            )
-            cum_w = np.where(free, np.maximum(w, 0.0), 0.0).cumsum()
+            # the weight of x sums b^2 over the distinct tails drawn after
+            # it, a quadratic in u_x; the last coordinate squares b itself,
+            # so a label that leaves b = 0 weighs exactly 0
+            tail = eps[t + 1 :]
+            if tail:
+                c0, c1, c2 = _square_sum_coefficients(
+                    self.n - t - 3, q1, q2, alpha, e, tail
+                )
+                w = c2 * u
+                w += c1
+                w *= u
+                w += c0
+            else:
+                w = e * u
+                w += alpha
+                w *= w
+            np.maximum(w, 0.0, out=w)
+            for x in drawn:
+                w[x] = 0.0
+            cum_w = w.cumsum()
             if not cum_w[-1] > 0.0:
                 raise DegenerateError(
                     "degenerate square bias: conditional weights sum to zero"
                 )
             x = _pick(cum_w, rng)
-            free[x] = False
+            drawn.append(x)
             ux = float(u[x])
             alpha += e * ux
             q1 -= ux
             q2 -= ux * ux
-            labels.append(x + 1)
+        labels = [x + 1 for x in drawn]
         r, s, k, l = (labels[slot] for slot in slots)
         return bucket.partition(":")[0], r, s, k, l
 
@@ -278,9 +294,11 @@ def sample_zero_bias_batch(
     """Zero-bias sampling returning arrays of Y', Y†, Y‡, Y* and U.
 
     Each row edits a CRP permutation in place of building a Permutation
-    object: the surgery touches at most 10 positions, so Y† is computed
-    incrementally from Y', and Y‡ = Y† - b.  ``oracle.construct_dagger``
-    is the Permutation-level reference for the edit.
+    object: once Y' is summed from the chunk's images, the surgery's at
+    most 10 changes are written into the row's images, one more
+    ``block_statistic`` call gives the chunk's Y†, and Y‡ = Y† - b.
+    ``oracle.construct_dagger`` is the Permutation-level reference for the
+    edit.
 
     Rows run in chunks of ``ZERO_BIAS_CHUNK_ROWS`` on the one generator: a
     chunk draws its CRP images, then each of its rows draws its
@@ -295,7 +313,6 @@ def sample_zero_bias_batch(
     if sampler is None:
         sampler = SquareBiasSampler(A, params)
     padded = padded_scores(A)
-    rows_c = A.row_lists()
     cols = np.arange(1, params.n + 1)
     limit = 20.0 * A.max_abs + 1e-9 * max(20.0 * A.max_abs, 1.0)
     y_prime, y_dagger, y_ddagger, y_star, us = (np.empty(count) for _ in range(5))
@@ -308,13 +325,13 @@ def sample_zero_bias_batch(
         inverses[np.arange(hi - lo)[:, None], images - 1] = cols
         for t, img, inv in zip(range(lo, hi), images, inverses):
             config = sampler.sample(rng)
-            yd = float(y_prime[t]) + math.fsum(
-                rows_c[x - 1][new - 1] - rows_c[x - 1][img[x - 1] - 1]
-                for x, new in _dagger_changes(img, inv, config).items()
-            )
-            y_dagger[t] = yd
-            y_ddagger[t] = yd - config.b
+            # the row becomes pi†'s images; its inverse row is not read again
+            for x, new in _dagger_changes(img, inv, config).items():
+                img[x - 1] = new
+            y_ddagger[t] = config.b  # b until the chunk's Y† is known
             us[t] = float(rng.random())
+        y_dagger[lo:hi] = block_statistic(padded, images.T)
+        y_ddagger[lo:hi] = y_dagger[lo:hi] - y_ddagger[lo:hi]
         u = us[lo:hi]
         y_star[lo:hi] = u * y_dagger[lo:hi] + (1.0 - u) * y_ddagger[lo:hi]
         worst = float(np.abs(y_star[lo:hi] - y_prime[lo:hi]).max())

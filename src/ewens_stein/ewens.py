@@ -74,12 +74,25 @@ def _normal(*values: float) -> bool:
     return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
 
 
+def _rising_product(a: int, b: int, n: int) -> int:
+    """prod_{t < n} (a + t b) as a balanced product tree: each round
+    multiplies neighbours, so every product joins operands of similar size
+    instead of growing one operand a factor at a time."""
+    factors = [a + t * b for t in range(n)]
+    while len(factors) > 1:
+        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
 def _exact_pmf(theta: float, n: int, cycles: int, size: int = 1) -> float:
     """size * theta^cycles / theta^(n) exactly at the float theta = a/b,
     rounded once: size a^cycles b^(n-cycles) / prod_t (a + t b) is a single
     int / int division, which Python rounds correctly."""
     a, b = theta.as_integer_ratio()
-    return size * a**cycles * b ** (n - cycles) / math.prod(a + t * b for t in range(n))
+    return size * a**cycles * b ** (n - cycles) / _rising_product(a, b, n)
 
 
 def ewens_pmf(perm: Permutation, params: EwensParams) -> float:

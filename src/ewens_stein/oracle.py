@@ -430,13 +430,17 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.
                     restarts.append(k)
                     first = rows[k]
         starts = np.union1d(starts, restarts).astype(starts.dtype)
-    # one mass: as is; two: one correctly rounded addition; more: fsum
+    # k parts of one mass p: k p, which like fsum rounds the exact sum once;
+    # two mixed parts: one correctly rounded addition; more: fsum
     sizes = np.diff(np.append(starts, len(values)))
-    merged = probs[starts]
-    pairs = starts[sizes == 2]
-    merged[sizes == 2] = probs[pairs] + probs[pairs + 1]
+    first = probs[starts]
+    uniform = np.logical_and.reduceat(probs == np.repeat(first, sizes), starts)
+    merged = sizes * first
+    two = (sizes == 2) & ~uniform
+    pairs = starts[two]
+    merged[two] = probs[pairs] + probs[pairs + 1]
     plist = probs.tolist()
-    for k in np.flatnonzero(sizes > 2).tolist():
+    for k in np.flatnonzero((sizes > 2) & ~uniform).tolist():
         merged[k] = math.fsum(plist[starts[k] : starts[k] + sizes[k]])
     return values[starts], merged
 

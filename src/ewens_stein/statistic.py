@@ -19,6 +19,7 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,10 +85,6 @@ class ScoreMatrix:
     max_abs: float
     theta_used: float
     is_integer: bool
-
-    def row_lists(self) -> list[list[float]]:
-        # plain nested lists index faster than ndarray in the hot loops
-        return self.centered.tolist()
 
 
 def _check_square_symmetric(A: np.ndarray) -> np.ndarray:
@@ -478,6 +475,28 @@ SQUARE_BIAS_BUCKETS = (
 )
 
 
+# a few dozen entries per matrix size n
+@functools.lru_cache(maxsize=256)
+def _square_sum_factors(m: int, eps: tuple[float, ...]) -> tuple[float, ...]:
+    """The scalars of ``_distinct_square_sum`` over a pool of m labels:
+    (n_tuples, per_coord, per_pair, sum eps, sum eps^2, sum over ordered
+    pairs t != t' of eps_t eps_t').  A pool too small for eps has no
+    tuples, and every factor is 0."""
+    T = len(eps)
+    if m < T:
+        return (0.0,) * 6
+    sum_eps = sum(eps)
+    sum_eps_sq = sum(e * e for e in eps)
+    return (
+        falling_factorial(m, T),
+        falling_factorial(m - 1, T - 1) if T >= 1 else 0.0,
+        falling_factorial(m - 2, T - 2) if T >= 2 else 0.0,
+        sum_eps,
+        sum_eps_sq,
+        sum_eps * sum_eps - sum_eps_sq,
+    )
+
+
 def _distinct_square_sum(m: int, q1, q2, alpha, eps: tuple[float, ...]):
     """sum over distinct tuples (x_1..x_T) from a pool of m labels of
     (alpha + sum_t eps_t u_{x_t})^2, given the power sums q1, q2 of u.
@@ -489,22 +508,37 @@ def _distinct_square_sum(m: int, q1, q2, alpha, eps: tuple[float, ...]):
     on arrays of (q1, q2, alpha).  With no coordinates left (eps = ()) the
     one empty tuple gives alpha^2.
     """
-    T = len(eps)
-    if T == 0:
+    if not eps:
         return alpha * alpha
-    if m < T:
+    if m < len(eps):
         return 0.0
-    n_tuples = falling_factorial(m, T)
-    per_coord = falling_factorial(m - 1, T - 1)
-    per_pair = falling_factorial(m - 2, T - 2) if T >= 2 else 0.0
-    sum_eps = sum(eps)
-    sum_eps_sq = sum(e * e for e in eps)
-    sum_cross = sum_eps * sum_eps - sum_eps_sq  # sum over ordered pairs t != t'
+    n_tuples, per_coord, per_pair, sum_eps, sum_eps_sq, sum_cross = (
+        _square_sum_factors(m, eps)
+    )
     return (
         n_tuples * alpha * alpha
         + 2.0 * alpha * sum_eps * per_coord * q1
         + sum_eps_sq * per_coord * q2
         + sum_cross * per_pair * (q1 * q1 - q2)
+    )
+
+
+def _square_sum_coefficients(
+    m: int, q1: float, q2: float, alpha: float, e: float, eps: tuple[float, ...]
+) -> tuple[float, float, float]:
+    """(c0, c1, c2) with c0 + c1 u + c2 u^2 equal to
+    ``_distinct_square_sum(m, q1 - u, q2 - u^2, alpha + e u, eps)``: the
+    weight of a label with value u drawn for a coordinate of sign e ahead
+    of the coordinates eps.  c0 is the kernel at (q1, q2, alpha)."""
+    n_tuples, per_coord, per_pair, sum_eps, sum_eps_sq, sum_cross = (
+        _square_sum_factors(m, eps)
+    )
+    coord = sum_eps * per_coord
+    pair = sum_cross * per_pair
+    return (
+        _distinct_square_sum(m, q1, q2, alpha, eps),
+        2.0 * (n_tuples * alpha * e + coord * (e * q1 - alpha) - pair * q1),
+        n_tuples * e * e - 2.0 * coord * e - sum_eps_sq * per_coord + 2.0 * pair,
     )
 
 

@@ -122,6 +122,13 @@ def ulps_off(got, want):
     return abs(Fraction(got) - want) / Fraction(math.ulp(float(want)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 1e120])
+def test_rising_product_tree_is_the_sequential_product(n, theta):
+    a, b = theta.as_integer_ratio()
+    assert ewens._rising_product(a, b, n) == math.prod(a + t * b for t in range(n))
+
+
 @pytest.mark.parametrize("n", [21, 50, 150, 171, 300])
 @pytest.mark.parametrize("theta", [0.001, 0.5, 1.0, 1e5, 1e120])
 def test_pmf_past_n_20_is_accurate(n, theta, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewens_stein
+from ewens_stein import oracle
 from ewens_stein.ewens import EwensParams, c1_moments, ewens_pmf, rising_factorial
 from ewens_stein.oracle import (
     ATOM_MERGE_TOL,
@@ -293,6 +294,38 @@ def test_exact_statistic_law_is_bit_identical_to_enumeration(n, theta):
         values, probs = enumerated_statistic_law(A, params)
         assert law.values == values
         assert law.probs == probs
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+def test_merged_masses_are_the_fsum_of_their_parts(n, theta, monkeypatch):
+    # the parts of each merged atom are the sorted values from its first
+    # value up to the next atom's; their fsum is the correctly rounded mass
+    merges = []
+
+    def spy(values, probs):
+        merged = merge(values, probs)
+        merges.append((values, probs) + merged)
+        return merged
+
+    merge = oracle._merge_atoms
+    monkeypatch.setattr(oracle, "_merge_atoms", spy)
+    rng = np.random.default_rng([n, int(10 * theta), 2])
+    raw = rng.random((n, n))
+    params = EwensParams(n=n, theta=theta)
+    for A in ((raw + raw.T) / 2.0, np.round(9.0 * (raw + raw.T))):
+        exact_statistic_law(A, params)
+    assert len(merges) == 2
+    kinds = set()
+    for values, probs, merged_values, merged in merges:
+        order = np.argsort(values, kind="stable")
+        atom = np.searchsorted(merged_values, values[order], side="right") - 1
+        parts = probs[order]
+        groups = [parts[atom == k].tolist() for k in range(len(merged))]
+        assert np.array_equal(merged, [math.fsum(g) for g in groups])
+        kinds.update(len(set(g)) == 1 for g in groups if len(g) > 2)
+    # atoms of more than two parts, of one mass and of mixed masses
+    assert kinds == {True, False}
 
 
 def test_exact_statistic_law_shape_check():

@@ -24,6 +24,7 @@ from ewens_stein.statistic import (
     ScoreMatrix,
     _case_sums_closed,
     _distinct_square_sum,
+    _square_sum_coefficients,
     b_value,
     center,
     grand_mean,
@@ -409,3 +410,22 @@ def test_distinct_square_sum_matches_brute_force(m, eps):
                 m - 1, q1 - u, q2 - u * u, alpha + eps[0] * u, eps[1:]
             )
             assert math.fsum(first) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 8, 47])
+def test_square_sum_coefficients_are_the_kernel_in_u(m):
+    """c0 + c1 u + c2 u^2 is the kernel with one label of value u drawn for
+    a coordinate of sign e ahead of the tail: every coordinate and tail of
+    every square sum, checked at every label of a random pool."""
+    rng = np.random.default_rng(m)
+    for name, (_, eps) in _SQUARE_SUMS.items():
+        for t, e in enumerate(eps):
+            tail = eps[t + 1 :]
+            u = rng.uniform(-2.0, 2.0, m + 1)
+            q1, q2 = float(u.sum()), float((u * u).sum())
+            for alpha in (0.0, float(rng.uniform(-3.0, 3.0))):
+                c0, c1, c2 = _square_sum_coefficients(m, q1, q2, alpha, e, tail)
+                direct = _distinct_square_sum(m, q1 - u, q2 - u * u, alpha + e * u, tail)
+                terms = np.abs(c0) + np.abs(c1 * u) + np.abs(c2 * u * u)
+                gap = np.abs(c0 + c1 * u + c2 * u * u - direct)
+                assert np.all(gap <= 1e-12 * terms), (name, t, alpha)
