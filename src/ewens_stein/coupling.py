@@ -13,7 +13,10 @@ of rows at a time, deletes
 D = {i, j, r, s} from its cycles and reinserts them to realize the
 constraints, working on image and inverse arrays, and returns
 Y* = U Y† + (1-U) Y‡, which lies within 20 M of Y'.  The Permutation-level
-reference for that surgery is ``oracle.construct_dagger``.
+reference for that surgery is ``oracle.construct_dagger``.  Both the
+surgery and b = Y† - Y‡ are read off the configuration's constraint map
+{r: i, s: j, i: k, j: l}; b is its signed sum of at most eight centered
+entries, correctly rounded (``statistic._constraint_b``).
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .statistic import (
     _bucket_weights,
     _case_constraints,
     _check_case_args,
+    _constraint_b,
     _pair_sums,
     _square_sum_coefficients,
-    b_value,
     block_statistic,
     padded_scores,
 )
@@ -52,12 +55,6 @@ __all__ = [
 # rows per sample_zero_bias_batch chunk; a chunk's images and inverses are
 # the batch's only (rows x n) arrays
 ZERO_BIAS_CHUNK_ROWS = 1024
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +231,8 @@ class SquareBiasSampler:
                 f"index pair ({i}, {j}) needs 1 <= i, j <= {self.n} and i != j"
             )
         case, r, s, k, l = self._sample_sequential(i, j, rng)
-        b = b_value(i, j, r, s, k, l, case, self.A)
+        C = _case_constraints(i, j, r, s, k, l)
+        b = _constraint_b(self.A.centered, i, j, C)
         return SquareBiasConfig(i=i, j=j, r=r, s=s, k=k, l=l, case=case, b=b)
 
     def sample(self, rng: np.random.Generator) -> SquareBiasConfig:
@@ -242,20 +240,19 @@ class SquareBiasSampler:
         return self.sample_config(i, j, rng)
 
 
-def _dagger_changes(img, inv, config: SquareBiasConfig) -> dict[int, int]:
+def _dagger_changes(img, inv, C: dict[int, int]) -> dict[int, int]:
     """The new images {x: pi†(x)} of the positions where pi† differs from
-    pi, given pi's image and inverse rows: D = {i, j, r, s} is deleted from
-    pi's cycles and reinserted to realize the configuration's constraints."""
-    Dset = config.deleted_labels()
-    C = config.constraint_map()
+    pi, given pi's image and inverse rows: D = {i, j, r, s}, the sources of
+    the constraint map C, is deleted from pi's cycles and reinserted to
+    realize C."""
     change: dict[int, int] = {}
     # survivors that pointed into D now skip through it
-    for d in Dset:
+    for d in C:
         x = int(inv[d - 1])
-        if x in Dset:
+        if x in C:
             continue
         y = int(img[d - 1])
-        while y in Dset:
+        while y in C:
             y = int(img[y - 1])
         change[x] = y
     # chain insertions and cycle closures
@@ -269,7 +266,7 @@ def _dagger_changes(img, inv, config: SquareBiasConfig) -> dict[int, int]:
             x = C[x]
         # back-walk to the survivor that reduces onto the chain's end
         y = int(inv[x - 1])
-        while y in Dset:
+        while y in C:
             y = int(inv[y - 1])
         change[y] = head
     for start in sorted(C):
@@ -294,9 +291,11 @@ def sample_zero_bias_batch(
     """Zero-bias sampling returning arrays of Y', Y†, Y‡, Y* and U.
 
     Each row edits a CRP permutation in place of building a Permutation
-    object: once Y' is summed from the chunk's images, the surgery's at
-    most 10 changes are written into the row's images, one more
-    ``block_statistic`` call gives the chunk's Y†, and Y‡ = Y† - b.
+    object: it draws its pair and labels from the sampler and builds their
+    constraint map once, which gives both the surgery and b.  Once Y' is
+    summed from the chunk's images, the surgery's at most 10 changes are
+    written into the row's images, one more ``block_statistic`` call gives
+    the chunk's Y†, and Y‡ = Y† - b.
     ``oracle.construct_dagger`` is the Permutation-level reference for the
     edit.
 
@@ -309,10 +308,11 @@ def sample_zero_bias_batch(
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     if sampler is None:
         sampler = SquareBiasSampler(A, params)
     padded = padded_scores(A)
+    centered = sampler.A.centered
     cols = np.arange(1, params.n + 1)
     limit = 20.0 * A.max_abs + 1e-9 * max(20.0 * A.max_abs, 1.0)
     y_prime, y_dagger, y_ddagger, y_star, us = (np.empty(count) for _ in range(5))
@@ -324,11 +324,14 @@ def sample_zero_bias_batch(
         inverses = np.empty_like(images)
         inverses[np.arange(hi - lo)[:, None], images - 1] = cols
         for t, img, inv in zip(range(lo, hi), images, inverses):
-            config = sampler.sample(rng)
+            i, j = sampler.sample_pair(rng)
+            _, r, s, k, l = sampler._sample_sequential(i, j, rng)
+            C = _case_constraints(i, j, r, s, k, l)
             # the row becomes pi†'s images; its inverse row is not read again
-            for x, new in _dagger_changes(img, inv, config).items():
+            for x, new in _dagger_changes(img, inv, C).items():
                 img[x - 1] = new
-            y_ddagger[t] = config.b  # b until the chunk's Y† is known
+            # b until the chunk's Y† is known
+            y_ddagger[t] = _constraint_b(centered, i, j, C)
             us[t] = float(rng.random())
         y_dagger[lo:hi] = block_statistic(padded, images.T)
         y_ddagger[lo:hi] = y_dagger[lo:hi] - y_ddagger[lo:hi]

@@ -72,14 +72,13 @@ class DegenerateError(ValueError):
 class ScoreMatrix:
     """A symmetric score matrix together with its centered form.
 
-    ``centered`` is entries - grand_mean, the matrix actually entering every
-    statistic; ``max_abs`` is M = max |centered|; ``theta_used`` records the
-    Ewens parameter under which the grand mean was taken (it enters the
-    diagonal weighting).
+    ``centered`` is the entries less grand_mean, the matrix actually
+    entering every statistic; ``max_abs`` is M = max |centered|;
+    ``theta_used`` records the Ewens parameter under which the grand mean
+    was taken (it enters the diagonal weighting).
     """
 
     n: int
-    entries: np.ndarray
     grand_mean: float
     centered: np.ndarray
     max_abs: float
@@ -135,7 +134,6 @@ def center(A: np.ndarray, params: EwensParams) -> ScoreMatrix:
     is_int = bool(np.all(a == np.round(a)))
     return ScoreMatrix(
         n=params.n,
-        entries=a,
         grand_mean=mean,
         centered=centered,
         max_abs=max_abs,
@@ -206,6 +204,36 @@ def _check_case_args(
         )
 
 
+def _case_constraints(
+    i: int, j: int, r: int, s: int, k: int, l: int
+) -> dict[int, int]:
+    """The deduplicated constraint map {pi(r)=i, pi(s)=j, pi(i)=k, pi(j)=l}."""
+    pm: dict[int, int] = {}
+    for a, b in ((r, i), (s, j), (i, k), (j, l)):
+        if a in pm and pm[a] != b:
+            raise ValueError(f"inconsistent constraints: {a} -> {pm[a]} and {a} -> {b}")
+        pm[a] = b
+    return pm
+
+
+def _constraint_b(c: np.ndarray, i: int, j: int, C: dict[int, int]) -> float:
+    """b = Y' - Y'' of the constraint map C of a configuration at (i, j).
+
+    Y'' sums c[tau x, tau pi(x)] over x, with tau = (i j), so the terms of
+    Y' and Y'' cancel wherever x and pi(x) both lie outside {i, j}.  What
+    is left sums c[x, C(x)] - c[tau x, tau C(x)] over the sources
+    x in {i, j, r, s} of C.  ``math.fsum`` adds the 2|C| entries exactly
+    and rounds once, so b is correctly rounded, and it is exactly 0
+    wherever the entries cancel in pairs, as on the closed patterns of a
+    symmetric matrix."""
+    tau = {i: j, j: i}
+    terms = []
+    for x, y in C.items():
+        terms.append(c[x - 1, y - 1])
+        terms.append(-c[tau.get(x, x) - 1, tau.get(y, y) - 1])
+    return math.fsum(terms)
+
+
 def b_value(
     i: int,
     j: int,
@@ -218,44 +246,14 @@ def b_value(
 ) -> float:
     """b = Y' - Y'' as a function of the pre/post images of i and j.
 
-    Only the rows/columns touching i and j change under the transposition
-    conjugation, so the difference is a short signed sum of matrix entries
-    depending on the case."""
+    Only the entries in rows and columns i and j change under the
+    transposition conjugation, so b is a short signed sum of centered
+    entries read off the constraint map (``_constraint_b``), correctly
+    rounded; it is exactly 0 on the A0 cases and on the closed A3/A4
+    3-cycles and A5_4 4-cycle."""
     _check_case_args(case, i, j, pre_i, pre_j, post_i, post_j)
-    c = A.centered
-    r, s, k, l = pre_i - 1, pre_j - 1, post_i - 1, post_j - 1
-    ii, jj = i - 1, j - 1
-    if case in ("A0_1", "A0_2"):
-        return 0.0
-    # symmetry forces exact cancellation on the closed patterns (the A3/A4
-    # 3-cycles and the A5_4 4-cycle); return a clean zero rather than the
-    # roundoff of two differently-ordered sums of the same entries
-    if case == "A3" and l == r:
-        return 0.0
-    if case == "A4" and k == s:
-        return 0.0
-    if case == "A5_4" and k == s and l == r:
-        return 0.0
-    if case == "A1":
-        return (c[ii, ii] + c[s, jj] + c[jj, l]) - (
-            c[jj, jj] + c[s, ii] + c[ii, l]
-        )
-    if case == "A2":
-        return (c[jj, jj] + c[r, ii] + c[ii, k]) - (
-            c[ii, ii] + c[r, jj] + c[jj, k]
-        )
-    if case == "A3":
-        return (c[r, ii] + c[ii, jj] + c[jj, l]) - (
-            c[r, jj] + c[jj, ii] + c[ii, l]
-        )
-    if case == "A4":
-        return (c[s, jj] + c[jj, ii] + c[ii, k]) - (
-            c[s, ii] + c[ii, jj] + c[jj, k]
-        )
-    # A5 subcases share the eight-term expression
-    return (c[r, ii] + c[ii, k] + c[s, jj] + c[jj, l]) - (
-        c[r, jj] + c[jj, k] + c[s, ii] + c[ii, l]
-    )
+    C = _case_constraints(i, j, pre_i, pre_j, post_i, post_j)
+    return _constraint_b(A.centered, i, j, C)
 
 
 def t_statistic(A: ScoreMatrix, perm: Permutation, params: EwensParams) -> float:
@@ -373,18 +371,6 @@ class VarianceDecomposition:
     e_ydiff_sq: float
     e_yr: float
     sigma_sq: float
-
-
-def _case_constraints(
-    i: int, j: int, r: int, s: int, k: int, l: int
-) -> dict[int, int]:
-    """The deduplicated constraint map {pi(r)=i, pi(s)=j, pi(i)=k, pi(j)=l}."""
-    pm: dict[int, int] = {}
-    for a, b in ((r, i), (s, j), (i, k), (j, l)):
-        if a in pm and pm[a] != b:
-            raise ValueError(f"inconsistent constraints: {a} -> {pm[a]} and {a} -> {b}")
-        pm[a] = b
-    return pm
 
 
 def variance_decomposition(

@@ -498,3 +498,20 @@ def test_enumeration_lives_only_in_the_oracle():
     assert offenders == {}
     oracle_tree = ast.parse((package / "oracle.py").read_text(encoding="utf-8"))
     assert "defines iter_case_configs" in enumeration_uses(oracle_tree)
+
+
+def test_imports_live_at_module_level():
+    """Every module under the package imports at its top: no function body
+    holds an import statement."""
+    package = Path(ewens_stein.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    offenders = [
+        f"{p.name}:{inner.lineno} in {node.name}"
+        for p in modules
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert offenders == []

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ewens_stein.statistic import (
     DegenerateError,
     _SQUARE_SUMS,
     ScoreMatrix,
+    _case_constraints,
     _case_sums_closed,
     _distinct_square_sum,
     _square_sum_coefficients,
@@ -180,6 +182,35 @@ def test_b_value_zero_on_closed_patterns():
     assert b_value(1, 2, 3, 1, 2, 3, "A3", A) == 0.0
     assert b_value(1, 2, 2, 3, 3, 1, "A4", A) == 0.0
     assert b_value(1, 2, 3, 4, 4, 3, "A5_4", A) == 0.0
+
+
+def test_b_value_is_correctly_rounded():
+    """b is the exact signed sum of its entries, rounded once: for every
+    configuration at n = 6 and 7, on a continuous and an integer-valued
+    matrix, b_value equals the Fraction sum of c[x, C(x)] - c[tau x, tau C(x)]
+    over the constraint map C, tau = (i j), converted to float."""
+    rng = np.random.default_rng(17)
+    for n in (6, 7):
+        params = EwensParams(n=n, theta=1.3)
+        raw = rng.random((n, n))
+        ints = rng.integers(-9, 10, (n, n))
+        for sym in ((raw + raw.T) / 2.0, ints + ints.T):
+            A = center(sym, params)
+            c = A.centered
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i == j:
+                        continue
+                    tau = {i: j, j: i}
+                    for case, r, s, k, l in iter_case_configs(n, i, j):
+                        C = _case_constraints(i, j, r, s, k, l)
+                        exact = sum(
+                            Fraction(c[x - 1, y - 1])
+                            - Fraction(c[tau.get(x, x) - 1, tau.get(y, y) - 1])
+                            for x, y in C.items()
+                        )
+                        got = b_value(i, j, r, s, k, l, case, A)
+                        assert got == float(exact), (n, i, j, case, r, s, k, l)
 
 
 def test_b_value_rejects_inconsistent_arguments():
