@@ -13,8 +13,8 @@ for the joint square-bias law (720 permutations x 30 index pairs).
 ``exact_remainder`` enumerates S_n through the scalar ``statistic`` and
 ``t_statistic``.  Two references enumerate something else:
 ``_pair_case_sums_direct`` walks the index configurations of every pair
-(``iter_case_configs``), the O(n^6) reference for the closed-form pair
-sums behind the variance decomposition and the index-pair weights;
+(``iter_case_configs``), the O(n^6) reference for the square-sum kernel
+behind the sampler's bucket weights and the index-pair weights;
 ``constructive_square_bias_law`` enumerates the randomness of the
 coupling's own construction, so that it can be compared with
 ``exact_square_bias_law``.  The coupling's references live here too:

@@ -2,13 +2,13 @@
 
 Takes a symmetric score matrix through centering, the column-block sum of
 Y over batches of image rows, the pair-difference values b of the ten-case
-partition of ordered index pairs, the remainder statistic T (whose
-conditional expectation is the Stein remainder R), the closed-form variance
-sigma^2 = Var(Y), the decomposition of E(Y'-Y'')^2 into case sums, and the
-square-sum kernel behind the square-bias weights.  The scalar Y of one
-permutation and the case of one pair (``statistic``, ``classify``) serve
-only as references and live in ``oracle.py``; the closed-form remainder
-bounds live in ``bounds.py``.
+partition of ordered index pairs, the remainder statistic T (linear in the
+fixed points; its conditional expectation is the Stein remainder R), the
+closed-form variance sigma^2 = Var(Y) and E[Y'R], which give E(Y'-Y'')^2
+through the paper's decomposition, and the square-sum kernel behind the
+square-bias weights.  The scalar Y of one permutation and the case of one
+pair (``statistic``, ``classify``) serve only as references and live in
+``oracle.py``; the closed-form remainder bounds live in ``bounds.py``.
 
 Conventions fixed here and used everywhere downstream:
   * matrices are centered internally (grand mean removed), so all Stein
@@ -256,38 +256,24 @@ def b_value(
     return _constraint_b(A.centered, i, j, C)
 
 
-def t_statistic(A: ScoreMatrix, perm: Permutation, params: EwensParams) -> float:
-    """The remainder statistic T(pi), a four-sum expression in the fixed points.
-
-    With F the fixed-point set and c1 = |F|:
-      T = 2(n + c1 - 2(theta+1)) sum_{i in F} a_ii
-        + 2(c1 - 2 theta)        sum_{i not in F} a_ii
-        - 4 sum_{i,j in F, i != j} a_ij
-        - 4 sum_{i in F, j not in F} a_ij
-    The Stein remainder is R(Y') = E[T | Y']/(n(n-1)).
-    """
-    n, theta = params.n, params.theta
-    if perm.n != n or A.n != n:
-        raise ValueError("size mismatch between matrix, permutation, and params")
-    c = A.centered
-    fix = np.array([x - 1 for x in perm.fixed_points()], dtype=np.intp)
-    c1 = len(fix)
+def _t_weights(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """(w, tr A_hat) of the linear form T = sum_{i in F} w_i - 4 theta tr A_hat,
+    with w_i = 2n a_ii + 2 tr A_hat - 4 rho_i and rho_i = sum_j a_ij."""
     tr = float(np.trace(c))
-    if c1:
-        diag_fix = float(c[fix, fix].sum())
-        block = float(c[np.ix_(fix, fix)].sum())
-        rows_fix = float(c[fix, :].sum())
-    else:
-        diag_fix = block = rows_fix = 0.0
-    diag_rest = tr - diag_fix
-    cross_ff = block - diag_fix  # i, j in F, i != j
-    cross_fr = rows_fix - block  # i in F, j not in F
-    return (
-        2.0 * (n + c1 - 2.0 * (theta + 1.0)) * diag_fix
-        + 2.0 * (c1 - 2.0 * theta) * diag_rest
-        - 4.0 * cross_ff
-        - 4.0 * cross_fr
-    )
+    return 2.0 * len(c) * np.diag(c) + 2.0 * tr - 4.0 * c.sum(axis=1), tr
+
+
+def t_statistic(A: ScoreMatrix, perm: Permutation, params: EwensParams) -> float:
+    """The remainder statistic T(pi), linear in the fixed-point set F.
+
+    T = sum_{i in F} w_i - 4 theta tr A_hat (``_t_weights``), and the
+    Stein remainder is R(Y') = E[T | Y']/(n(n-1)).
+    """
+    if perm.n != params.n or A.n != params.n:
+        raise ValueError("size mismatch between matrix, permutation, and params")
+    w, tr = _t_weights(A.centered)
+    fix = np.array([x - 1 for x in perm.fixed_points()], dtype=np.intp)
+    return float(w[fix].sum()) - 4.0 * params.theta * tr
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +343,9 @@ def sigma_squared(A: ScoreMatrix, params: EwensParams) -> float:
 
 @dataclass(frozen=True)
 class VarianceDecomposition:
-    """Case-by-case decomposition of E(Y'-Y'')^2 and the assembled variance.
+    """The paper's decomposition sigma_sq = (n/8) e_ydiff_sq + (n/4) e_yr,
+    with e_ydiff_sq = E(Y'-Y'')^2 and e_yr = E[Y'R]."""
 
-    e_ydiff_sq = 2*beta1 + 2*beta3 + beta51 + 2*beta52 + beta54 and
-    sigma_sq = (n/8) e_ydiff_sq + (n/4) e_yr.
-    """
-
-    beta1: float
-    beta3: float
-    beta51: float
-    beta52: float
-    beta54: float
     e_ydiff_sq: float
     e_yr: float
     sigma_sq: float
@@ -376,41 +354,36 @@ class VarianceDecomposition:
 def variance_decomposition(
     A: ScoreMatrix, params: EwensParams
 ) -> VarianceDecomposition:
-    """Evaluate the five case sums and the paper's decomposition of sigma^2.
+    """E[Y'R] in closed form and the paper's decomposition of sigma^2.
 
-    The case sums come from the closed form over per-pair power sums;
-    sigma^2 comes from ``sigma_squared``.  E[Y'R] then follows exactly from
+    E[Y'R] = E[Y T]/(n(n-1)) = sum_i w_i E[Y f_i]/(n(n-1)), with f_i the
+    indicator that i is fixed, since E[Y] = 0.  Given that i is fixed the
+    other labels are Ewens on n - 1 labels, so with p1 = theta/(theta+n-1)
+
+        E[Y f_i] = p1 (a_ii + sum_{k != i} (theta a_kk + rho_k - a_kk - a_ki)
+                                / (theta+n-2)).
+
+    sigma^2 comes from ``sigma_squared``, and E(Y'-Y'')^2 follows from
     sigma^2 = (n/8) E(Y'-Y'')^2 + (n/4) E[Y'R].
     """
     n, theta = params.n, params.theta
     _check_matrix_params(A, params)
     if n < 6:
         raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
-
-    sums = _case_sums_closed(A, params)
-    d3 = n * (n - 1) * falling_factorial(theta + n - 1, 3)
-    d4 = n * (n - 1) * falling_factorial(theta + n - 1, 4)
-    beta1 = sums["A1"] / d3
-    beta3 = sums["A3"] / d3
-    beta51 = sums["A5_1"] / d4
-    beta52 = sums["A5_2"] / d4
-    beta54 = sums["A5_4"] / d4
-    e_ydiff = (
-        sums["A1"] / d3
-        + sums["A2"] / d3
-        + sums["A3"] / d3
-        + sums["A4"] / d3
-        + (sums["A5_1"] + sums["A5_2"] + sums["A5_3"] + sums["A5_4"]) / d4
-    )
     sigma_sq = sigma_squared(A, params)
+    c = A.centered
+    w, _ = _t_weights(c)
+    d = np.diag(c)
+    rho = c.sum(axis=1)
+    # sum_{k != i} a_ki = rho_i - a_ii, as A_hat is symmetric
+    s = theta * d + rho - d
+    e_yf = theta / (theta + n - 1) * (
+        d + (s.sum() - s - rho + d) / (theta + n - 2)
+    )
+    e_yr = float(w @ e_yf) / (n * (n - 1))
     return VarianceDecomposition(
-        beta1=beta1,
-        beta3=beta3,
-        beta51=beta51,
-        beta52=beta52,
-        beta54=beta54,
-        e_ydiff_sq=e_ydiff,
-        e_yr=4.0 / n * (sigma_sq - n / 8.0 * e_ydiff),
+        e_ydiff_sq=8.0 / n * (sigma_sq - n / 4.0 * e_yr),
+        e_yr=e_yr,
         sigma_sq=sigma_sq,
     )
 
@@ -574,19 +547,3 @@ def _bucket_weights(sums: dict, factors: list) -> list:
     SQUARE_BIAS_BUCKETS entry, from the square sums by name and the
     _bucket_factors: (n, n) arrays over every pair, or one pair's floats."""
     return [power * sums[name] / falling for name, power, falling in factors]
-
-
-def _pair_case_sums(A: ScoreMatrix, params: EwensParams) -> dict[str, np.ndarray]:
-    """Per ordered pair, the sum over each case's configurations of
-    b^2 theta^{loops}: an (n, n) array for each case that can carry b != 0."""
-    _, sums = _pair_sums(A.centered)
-    out: dict[str, np.ndarray] = {}
-    for bucket, name, power, _, _ in SQUARE_BIAS_BUCKETS:
-        case = bucket.partition(":")[0]
-        out[case] = out.get(case, 0.0) + params.theta**power * sums[name]
-    return out
-
-
-def _case_sums_closed(A: ScoreMatrix, params: EwensParams) -> dict[str, float]:
-    """The per-case sums of b^2 theta^{loops} over all ordered pairs."""
-    return {case: float(v.sum()) for case, v in _pair_case_sums(A, params).items()}

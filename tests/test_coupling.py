@@ -30,8 +30,11 @@ from ewens_stein.oracle import (
 )
 from ewens_stein.permutations import Permutation
 from ewens_stein.statistic import (
+    SQUARE_BIAS_BUCKETS,
     DegenerateError,
-    _pair_case_sums,
+    _bucket_factors,
+    _bucket_weights,
+    _pair_sums,
     b_value,
     center,
     variance_decomposition,
@@ -70,6 +73,19 @@ def test_index_weights_sum_to_ydiff():
         )
 
 
+@pytest.mark.parametrize("n", [13, 50, 200])
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+def test_index_weights_match_decomposition_above_oracle_range(n, theta):
+    """Two routes to E(Y'-Y'')^2: the grand sum of the square-bias kernel's
+    index weights over n(n-1), and sigma^2 with the closed-form E[Y'R]
+    through the decomposition identity."""
+    params = EwensParams(n=n, theta=theta)
+    A = random_centered(n, theta, 90 + n)
+    W = index_square_bias_weights(A, params)
+    dec = variance_decomposition(A, params)
+    assert float(W.sum()) / (n * (n - 1)) == pytest.approx(dec.e_ydiff_sq, rel=1e-12)
+
+
 def test_index_weights_degenerate():
     params = EwensParams(n=6, theta=1.0)
     A = center(np.zeros((6, 6)), params)
@@ -88,15 +104,24 @@ def test_sampler_weights_are_the_index_weights(n):
 
 
 def test_sampler_agrees_between_routes():
-    """The pair kernel's index weights W and per-pair case sums, which the
-    sampler draws from, equal the per-pair, per-case reference summed over
-    the enumerated configurations."""
+    """The pair kernel's index weights W and the sampler's own bucket
+    weights, summed by case, equal the per-pair, per-case reference summed
+    over the enumerated configurations."""
     for n in (6, 9):
         for theta in (0.5, 1.2):
             params = EwensParams(n=n, theta=theta)
             A = random_centered(n, theta, 77 + n)
             direct = _pair_case_sums_direct(A, params)
-            closed = _pair_case_sums(A, params)
+            # the sampler's bucket weights, grouped by case and multiplied
+            # back by their (theta+n-1)_(k)
+            factors = _bucket_factors(params)
+            weights = _bucket_weights(_pair_sums(A.centered)[1], factors)
+            closed = {}
+            for (bucket, *_), (_, _, falling), weight in zip(
+                SQUARE_BIAS_BUCKETS, factors, weights
+            ):
+                case = bucket.partition(":")[0]
+                closed[case] = closed.get(case, 0.0) + weight * falling
             assert set(closed) == set(direct)
             for case, ref in direct.items():
                 np.testing.assert_allclose(closed[case], ref, rtol=1e-12, atol=0)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import math
 import threading
 from itertools import chain, permutations
@@ -515,3 +516,23 @@ def test_imports_live_at_module_level():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert offenders == []
+
+
+def test_traced_entry_points_exist():
+    """Every entry point the benchmark's tracer rebinds (perfbench/spans.py,
+    TRACED) is still an attribute of its module, so deleting one fails
+    here rather than in the traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    missing = [
+        f"{module}.{name}"
+        for module, names in spans.TRACED.items()
+        for name in names
+        if not callable(
+            getattr(importlib.import_module(f"{spans.PACKAGE}.{module}"), name, None)
+        )
+    ]
+    assert missing == []

@@ -22,10 +22,13 @@ from ewens_stein.statistic import (
     CASE_LABELS,
     DegenerateError,
     _SQUARE_SUMS,
+    SQUARE_BIAS_BUCKETS,
     ScoreMatrix,
+    _bucket_factors,
+    _bucket_weights,
     _case_constraints,
-    _case_sums_closed,
     _distinct_square_sum,
+    _pair_sums,
     _square_sum_coefficients,
     b_value,
     center,
@@ -313,7 +316,16 @@ def test_direct_and_closed_case_sums_agree():
         params = EwensParams(n=n, theta=1.7)
         A = random_centered(n, 1.7, 30 + n)
         direct = _case_sums_direct(A, params)
-        closed = _case_sums_closed(A, params)
+        # the sampler's bucket weights, grouped by case and multiplied
+        # back by their (theta+n-1)_(k)
+        factors = _bucket_factors(params)
+        weights = _bucket_weights(_pair_sums(A.centered)[1], factors)
+        closed = {}
+        for (bucket, *_), (_, _, falling), weight in zip(
+            SQUARE_BIAS_BUCKETS, factors, weights
+        ):
+            case = bucket.partition(":")[0]
+            closed[case] = closed.get(case, 0.0) + float(weight.sum()) * falling
         assert set(direct) == set(closed)
         for case, value in direct.items():
             assert closed[case] == pytest.approx(value, rel=1e-11, abs=1e-13)
