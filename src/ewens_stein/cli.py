@@ -236,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="one bound report for (A, n, theta)")
     add_common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
+    # experiment keeps theta None, so a sweep without one is an empty grid
+    p_bounds.set_defaults(func=cmd_bounds, theta=1.0)
 
     p_exp = sub.add_parser("experiment", help="sweep n and/or theta, emit CSV rows")
     add_common(p_exp, need_n=False)
@@ -254,8 +255,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
-    if getattr(args, "theta", None) is None and args.command in ("bounds", "pmf"):
-        args.theta = 1.0
     try:
         return args.func(args)
     except _FAILURES as exc:

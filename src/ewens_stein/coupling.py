@@ -7,7 +7,9 @@ gives the square-bias pair (Y†, Y‡).  ``SquareBiasSampler`` draws that
 pair's randomness in closed form: the index pair (I†, J†), then the
 pre/post-image constraints pi(r)=i, pi(s)=j, pi(i)=k, pi(j)=l, one label
 at a time from conditional marginals that ``statistic._distinct_square_sum``
-gives, the same kernel as the index-pair weights.
+gives, the same kernel as the index-pair weights.  A configuration is the
+plain tuple (i, j, r, s, k, l); its case is a function of that tuple and
+is not carried.
 ``sample_zero_bias_batch`` draws pi' from the CRP, one fixed-size chunk
 of rows at a time, deletes
 D = {i, j, r, s} from its cycles and reinserts them to realize the
@@ -22,7 +24,6 @@ entries, correctly rounded (``statistic._constraint_b``).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -36,7 +37,6 @@ from .statistic import (
     _bucket_factors,
     _bucket_weights,
     _case_constraints,
-    _check_case_args,
     _constraint_b,
     _pair_sums,
     _square_sum_coefficients,
@@ -45,7 +45,6 @@ from .statistic import (
 )
 
 __all__ = [
-    "SquareBiasConfig",
     "index_square_bias_weights",
     "SquareBiasSampler",
     "sample_zero_bias_batch",
@@ -55,42 +54,6 @@ __all__ = [
 # rows per sample_zero_bias_batch chunk; a chunk's images and inverses are
 # the batch's only (rows x n) arrays
 ZERO_BIAS_CHUNK_ROWS = 1024
-
-
-# ---------------------------------------------------------------------------
-# Square-bias configurations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SquareBiasConfig:
-    """A sampled index pair with pre/post-image constraints.
-
-    r, s are the required pre-images of i, j; k, l the required images.
-    b = Y† - Y‡ is the configuration's signed difference, never zero.
-    """
-
-    i: int
-    j: int
-    r: int
-    s: int
-    k: int
-    l: int
-    case: str
-    b: float
-
-    def __post_init__(self) -> None:
-        _check_case_args(self.case, self.i, self.j, self.r, self.s, self.k, self.l)
-        if not abs(self.b) > 0.0:
-            raise ValueError(
-                f"square-bias configurations carry nonzero b; got {self.b}"
-            )
-
-    def constraint_map(self) -> dict[int, int]:
-        return _case_constraints(self.i, self.j, self.r, self.s, self.k, self.l)
-
-    def deleted_labels(self) -> frozenset[int]:
-        return frozenset((self.i, self.j, self.r, self.s))
 
 
 def index_square_bias_weights(
@@ -137,7 +100,7 @@ class SquareBiasSampler:
     counting factors, so a step costs four array operations on u; the
     last coordinate weighs b^2 itself, so a label leaving b = 0 weighs
     exactly 0.  The bucket's slots in ``SQUARE_BIAS_BUCKETS`` turn the
-    drawn labels into its (case, r, s, k, l).  Each draw reads its pair's
+    drawn labels into (r, s, k, l).  Each draw reads its pair's
     (c, q1, q2), square sums and u = a[:, i] - a[:, j] from the arrays
     set up here, so the sampler's memory does not grow with draws.
     """
@@ -166,9 +129,15 @@ class SquareBiasSampler:
 
     # -- configuration level ------------------------------------------------
 
-    def _sample_sequential(
+    def sample_config(
         self, i: int, j: int, rng: np.random.Generator
-    ) -> tuple[str, int, int, int, int]:
+    ) -> tuple[int, int, int, int]:
+        """The pre/post images (r, s, k, l) of a configuration drawn for
+        the index pair (i, j)."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
+            raise ValueError(
+                f"index pair ({i}, {j}) needs 1 <= i, j <= {self.n} and i != j"
+            )
         at = (i - 1, j - 1)
         pair_sums = {name: float(sums[at]) for name, sums in self._sums.items()}
         cum = list(accumulate(_bucket_weights(pair_sums, self._factors)))
@@ -176,7 +145,7 @@ class SquareBiasSampler:
             raise DegenerateError(
                 f"degenerate square bias: pair ({i}, {j}) carries zero weight"
             )
-        bucket, name, _, _, slots = SQUARE_BIAS_BUCKETS[_pick(cum, rng)]
+        _, name, _, _, slots = SQUARE_BIAS_BUCKETS[_pick(cum, rng)]
         offset, eps = _SQUARE_SUMS[name]
         c, q1, q2 = (float(stat[at]) for stat in self._stats)
         # the matrix is symmetric, so rows i and j are its columns i and j
@@ -219,25 +188,12 @@ class SquareBiasSampler:
             q2 -= ux * ux
         labels = [x + 1 for x in drawn]
         r, s, k, l = (labels[slot] for slot in slots)
-        return bucket.partition(":")[0], r, s, k, l
+        return r, s, k, l
 
-    # -- public sampling ----------------------------------------------------
-
-    def sample_config(
-        self, i: int, j: int, rng: np.random.Generator
-    ) -> SquareBiasConfig:
-        if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
-            raise ValueError(
-                f"index pair ({i}, {j}) needs 1 <= i, j <= {self.n} and i != j"
-            )
-        case, r, s, k, l = self._sample_sequential(i, j, rng)
-        C = _case_constraints(i, j, r, s, k, l)
-        b = _constraint_b(self.A.centered, i, j, C)
-        return SquareBiasConfig(i=i, j=j, r=r, s=s, k=k, l=l, case=case, b=b)
-
-    def sample(self, rng: np.random.Generator) -> SquareBiasConfig:
+    def sample(self, rng: np.random.Generator) -> tuple[int, int, int, int, int, int]:
+        """A configuration (i, j, r, s, k, l): the pair, then its images."""
         i, j = self.sample_pair(rng)
-        return self.sample_config(i, j, rng)
+        return (i, j) + self.sample_config(i, j, rng)
 
 
 def _dagger_changes(img, inv, C: dict[int, int]) -> dict[int, int]:
@@ -324,9 +280,8 @@ def sample_zero_bias_batch(
         inverses = np.empty_like(images)
         inverses[np.arange(hi - lo)[:, None], images - 1] = cols
         for t, img, inv in zip(range(lo, hi), images, inverses):
-            i, j = sampler.sample_pair(rng)
-            _, r, s, k, l = sampler._sample_sequential(i, j, rng)
-            C = _case_constraints(i, j, r, s, k, l)
+            i, j, r, s, k, l = sampler.sample(rng)
+            C = _case_constraints(params.n, i, j, r, s, k, l)
             # the row becomes pi†'s images; its inverse row is not read again
             for x, new in _dagger_changes(img, inv, C).items():
                 img[x - 1] = new

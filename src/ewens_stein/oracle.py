@@ -19,7 +19,8 @@ behind the sampler's bucket weights and the index-pair weights;
 coupling's own construction, so that it can be compared with
 ``exact_square_bias_law``.  The coupling's references live here too:
 ``construct_dagger`` and ``_realize`` redo the batch's delete-and-reinsert
-surgery on ``Permutation`` objects, checking every invariant it promises,
+surgery on ``Permutation`` objects for a configuration tuple
+(i, j, r, s, k, l), checking every invariant it promises,
 and ``_config_weight`` gives a configuration's exact mass
 b^2 * P(constraints).
 
@@ -35,8 +36,9 @@ where ``loops`` counts the constraint chains that close into cycles and
 x_(m) is the falling factorial (``constrained_prob``,
 ``conditional_remaining_prob``), and the joint factorial moments of the
 cycle counts (``cycle_count_factorial_moment``); the scalar Y of one
-permutation and the case of one ordered pair (``statistic``,
-``classify``).
+permutation, and the ten case labels and the case of one ordered pair
+(``statistic``, ``CASE_LABELS``, ``classify``), by which the references
+and the tests group configurations.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .coupling import SquareBiasConfig, index_square_bias_weights
+from .coupling import index_square_bias_weights
 from .ewens import EwensParams, ewens_pmf, falling_factorial, rising_factorial
 from .permutations import CycleType, Permutation
 from .statistic import (
-    CASE_LABELS,
     DegenerateError,
     ScoreMatrix,
     _case_constraints,
@@ -62,6 +63,7 @@ from .statistic import (
 )
 
 __all__ = [
+    "CASE_LABELS",
     "MAX_MARGINAL_N",
     "MAX_JOINT_N",
     "DiscreteLaw",
@@ -87,6 +89,24 @@ __all__ = [
 
 MAX_MARGINAL_N = 8
 MAX_JOINT_N = 6
+
+# The ten-case partition of ordered pairs (i, j), i != j: A0 cases have
+# b = 0, A1/A2 fix one of the two labels, A3/A4 map one onto the other,
+# A5 subcases have {i, j, pi(i), pi(j)} all distinct and split by the
+# cycle lengths |i|, |j|.  Production never reads a case: a configuration
+# is its tuple (i, j, r, s, k, l), and the case is a function of it.
+CASE_LABELS = (
+    "A0_1",
+    "A0_2",
+    "A1",
+    "A2",
+    "A3",
+    "A4",
+    "A5_1",
+    "A5_2",
+    "A5_3",
+    "A5_4",
+)
 
 # Atoms closer than this (max-norm) are true ties between short sums of
 # doubles, not distinct values.
@@ -653,10 +673,10 @@ def _pair_case_sums_direct(A: ScoreMatrix, params: EwensParams) -> dict[str, np.
                 continue
             pieces: dict[str, list[float]] = {case: [] for case in sums}
             for case, r, s, k, l in iter_case_configs(n, i, j):
-                b = b_value(i, j, r, s, k, l, case, A)
+                b = b_value(i, j, r, s, k, l, A)
                 if b == 0.0:
                     continue
-                loops = _constraint_loops(_case_constraints(i, j, r, s, k, l))
+                loops = _constraint_loops(_case_constraints(n, i, j, r, s, k, l))
                 pieces[case].append(b * b * theta**loops)
             for case, vals in pieces.items():
                 sums[case][i - 1, j - 1] = math.fsum(vals)
@@ -751,13 +771,13 @@ def constructive_square_bias_law(A: ScoreMatrix, params: EwensParams) -> Discret
         for j in range(1, n + 1):
             if i == j:
                 continue
-            for case, r, s, k, l in iter_case_configs(n, i, j):
-                w = _config_weight(A, params, i, j, case, r, s, k, l)
+            for _, r, s, k, l in iter_case_configs(n, i, j):
+                w = _config_weight(A, params, i, j, r, s, k, l)
                 if w <= 0.0:
                     continue
                 D = frozenset((i, j, r, s))
                 survivors = sorted(x for x in range(1, n + 1) if x not in D)
-                C = _case_constraints(i, j, r, s, k, l)
+                C = _case_constraints(n, i, j, r, s, k, l)
                 for key, p_rho in reduced_law(D).items():
                     rho = dict(zip(survivors, key))
                     dagger = _realize(rho, C, n)
@@ -774,16 +794,15 @@ def _config_weight(
     params: EwensParams,
     i: int,
     j: int,
-    case: str,
     r: int,
     s: int,
     k: int,
     l: int,
 ) -> float:
-    b = b_value(i, j, r, s, k, l, case, A)
+    b = b_value(i, j, r, s, k, l, A)
     if b == 0.0:
         return 0.0
-    pm = _case_constraints(i, j, r, s, k, l)
+    pm = _case_constraints(params.n, i, j, r, s, k, l)
     return b * b * constrained_prob(pm, params)
 
 
@@ -819,25 +838,25 @@ def _realize(rho: dict[int, int], C: dict[int, int], n: int) -> Permutation:
     return Permutation([image[x] for x in range(1, n + 1)])
 
 
-def construct_dagger(pi: Permutation, config: SquareBiasConfig) -> Permutation:
-    """Edit pi to satisfy the sampled constraints, leaving the rest intact.
+def construct_dagger(
+    pi: Permutation, config: tuple[int, int, int, int, int, int]
+) -> Permutation:
+    """Edit pi to satisfy the configuration (i, j, r, s, k, l), leaving the
+    rest intact.
 
     The distinct members of D = {i, j, r, s} are deleted from pi's cycle
     representation and reinserted to realize {pi(r)=i, pi(s)=j, pi(i)=k,
     pi(j)=l}; all other elements keep their (reduced) images, so
-    reduce_delete(pi, D) == reduce_delete(pi_dagger, D).
+    reduce_delete(pi, D) == reduce_delete(pi_dagger, D).  A tuple that no
+    permutation of [n] realizes raises ValueError (``_case_constraints``).
     """
     n = pi.n
-    D = config.deleted_labels()
-    C = config.constraint_map()
+    i, j, r, s, k, l = config
+    C = _case_constraints(n, i, j, r, s, k, l)
+    D = frozenset((i, j, r, s))
     rho = reduce_delete(pi, D)
     dagger = _realize(rho, C, n)
-    if (
-        dagger(config.r) != config.i
-        or dagger(config.s) != config.j
-        or dagger(config.i) != config.k
-        or dagger(config.j) != config.l
-    ):
+    if dagger(r) != i or dagger(s) != j or dagger(i) != k or dagger(j) != l:
         raise RuntimeError(f"construction failed to realize constraints {C}")
     if reduce_delete(dagger, D) != rho:
         raise RuntimeError(

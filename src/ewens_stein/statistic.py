@@ -1,14 +1,16 @@
 """The combinatorial statistic Y = sum_i a_{i,pi(i)} and its Stein machinery.
 
 Takes a symmetric score matrix through centering, the column-block sum of
-Y over batches of image rows, the pair-difference values b of the ten-case
-partition of ordered index pairs, the remainder statistic T (linear in the
-fixed points; its conditional expectation is the Stein remainder R), the
+Y over batches of image rows, the pair-difference value b of a
+configuration (i, j, r, s, k, l), read off its constraint map
+{r: i, s: j, i: k, j: l}, the remainder statistic T (linear in the fixed
+points; its conditional expectation is the Stein remainder R), the
 closed-form variance sigma^2 = Var(Y) and E[Y'R], which give E(Y'-Y'')^2
 through the paper's decomposition, and the square-sum kernel behind the
-square-bias weights.  The scalar Y of one permutation and the case of one
-pair (``statistic``, ``classify``) serve only as references and live in
-``oracle.py``; the closed-form remainder bounds live in ``bounds.py``.
+square-bias weights.  The scalar Y of one permutation, the ten case labels
+and the case of one pair (``statistic``, ``CASE_LABELS``, ``classify``)
+serve only as references and live in ``oracle.py``; the closed-form
+remainder bounds live in ``bounds.py``.
 
 Conventions fixed here and used everywhere downstream:
   * matrices are centered internally (grand mean removed), so all Stein
@@ -31,7 +33,6 @@ from .permutations import Permutation
 __all__ = [
     "DegenerateError",
     "ScoreMatrix",
-    "CASE_LABELS",
     "VarianceDecomposition",
     "grand_mean",
     "center",
@@ -40,23 +41,6 @@ __all__ = [
     "sigma_squared",
     "variance_decomposition",
 ]
-
-# The ten-case partition of ordered pairs (i, j), i != j: A0 cases have
-# b = 0, A1/A2 fix one of the two labels, A3/A4 map one onto the other,
-# A5 subcases have {i, j, pi(i), pi(j)} all distinct and split by the
-# cycle lengths |i|, |j|.
-CASE_LABELS = (
-    "A0_1",
-    "A0_2",
-    "A1",
-    "A2",
-    "A3",
-    "A4",
-    "A5_1",
-    "A5_2",
-    "A5_3",
-    "A5_4",
-)
 
 # sigma^2 at or below 1e-12 (n M)^2 is floating-point noise for sums of
 # n^2 products and is treated as exactly degenerate.
@@ -159,60 +143,25 @@ def block_statistic(padded: np.ndarray, block: np.ndarray) -> np.ndarray:
     return y
 
 
-def _check_case_args(
-    case: str, i: int, j: int, r: int, s: int, k: int, l: int
-) -> None:
-    """Validate that (r, s, k, l) = (pre_i, pre_j, post_i, post_j) is a
-    shape some permutation in the given case actually produces."""
+def _case_constraints(
+    n: int, i: int, j: int, r: int, s: int, k: int, l: int
+) -> dict[int, int]:
+    """The deduplicated constraint map {r: i, s: j, i: k, j: l} of the
+    configuration (i, j, r, s, k, l), i.e. pi(r) = i, pi(s) = j, pi(i) = k
+    and pi(j) = l.  Some permutation of [n] realizes the configuration
+    exactly when its labels lie in [1, n], i != j and the map is a
+    consistent injection; any other tuple raises ValueError."""
+    labels = (i, j, r, s, k, l)
+    if min(labels) < 1 or max(labels) > n:
+        raise ValueError(f"labels {labels} must lie in [1, {n}]")
     if i == j:
         raise ValueError("labels i and j must be distinct")
-    others = {i, j}
-
-    def outside(*labels: int) -> bool:
-        return all(x not in others for x in labels)
-
-    ok = False
-    if case == "A0_1":
-        ok = r == i and k == i and s == j and l == j
-    elif case == "A0_2":
-        ok = r == j and k == j and s == i and l == i
-    elif case == "A1":
-        ok = r == i and k == i and outside(s, l)
-    elif case == "A2":
-        ok = s == j and l == j and outside(r, k)
-    elif case == "A3":
-        ok = s == i and k == j and outside(r, l)
-    elif case == "A4":
-        ok = r == j and l == i and outside(s, k)
-    elif case in ("A5_1", "A5_2", "A5_3", "A5_4"):
-        ok = outside(r, s, k, l) and r != s and k != l
-        if ok:
-            if case == "A5_1":
-                ok = k == r and l == s
-            elif case == "A5_2":
-                ok = k == r and l != s
-            elif case == "A5_3":
-                ok = l == s and k != r
-            else:
-                ok = k != r and l != s
-    else:
-        raise ValueError(f"unknown case label {case!r}")
-    if not ok:
-        raise ValueError(
-            f"arguments (i={i}, j={j}, pre_i={r}, pre_j={s}, post_i={k}, "
-            f"post_j={l}) are inconsistent with case {case}"
-        )
-
-
-def _case_constraints(
-    i: int, j: int, r: int, s: int, k: int, l: int
-) -> dict[int, int]:
-    """The deduplicated constraint map {pi(r)=i, pi(s)=j, pi(i)=k, pi(j)=l}."""
     pm: dict[int, int] = {}
     for a, b in ((r, i), (s, j), (i, k), (j, l)):
-        if a in pm and pm[a] != b:
+        if pm.setdefault(a, b) != b:
             raise ValueError(f"inconsistent constraints: {a} -> {pm[a]} and {a} -> {b}")
-        pm[a] = b
+    if len(set(pm.values())) < len(pm):
+        raise ValueError(f"constraints {pm} send two labels to one")
     return pm
 
 
@@ -241,7 +190,6 @@ def b_value(
     pre_j: int,
     post_i: int,
     post_j: int,
-    case: str,
     A: ScoreMatrix,
 ) -> float:
     """b = Y' - Y'' as a function of the pre/post images of i and j.
@@ -250,9 +198,9 @@ def b_value(
     transposition conjugation, so b is a short signed sum of centered
     entries read off the constraint map (``_constraint_b``), correctly
     rounded; it is exactly 0 on the A0 cases and on the closed A3/A4
-    3-cycles and A5_4 4-cycle."""
-    _check_case_args(case, i, j, pre_i, pre_j, post_i, post_j)
-    C = _case_constraints(i, j, pre_i, pre_j, post_i, post_j)
+    3-cycles and A5_4 4-cycle.  A tuple that no permutation of [n]
+    realizes raises ValueError (``_case_constraints``)."""
+    C = _case_constraints(A.n, i, j, pre_i, pre_j, post_i, post_j)
     return _constraint_b(A.centered, i, j, C)
 
 

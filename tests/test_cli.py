@@ -265,6 +265,9 @@ def test_experiment_json_list(capsys):
 def test_experiment_empty_grid(capsys):
     assert main(["experiment", "--theta-grid", "1,2"]) == 2
     assert "grid is empty" in capsys.readouterr().err
+    # unlike bounds, experiment has no default theta
+    assert main(["experiment", "--n", "6"]) == 2
+    assert "grid is empty" in capsys.readouterr().err
 
 
 def test_argparse_errors_exit_2(capsys):

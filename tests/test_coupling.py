@@ -9,7 +9,6 @@ from chisquare import chi2_upper_quantile, pearson_chi2, pool_cells
 
 from ewens_stein.coupling import (
     ZERO_BIAS_CHUNK_ROWS,
-    SquareBiasConfig,
     SquareBiasSampler,
     index_square_bias_weights,
     sample_zero_bias_batch,
@@ -19,7 +18,6 @@ from ewens_stein.oracle import (
     MAX_JOINT_N,
     _config_weight,
     _pair_case_sums_direct,
-    classify,
     constrained_prob,
     construct_dagger,
     constructive_square_bias_law,
@@ -34,6 +32,7 @@ from ewens_stein.statistic import (
     DegenerateError,
     _bucket_factors,
     _bucket_weights,
+    _case_constraints,
     _pair_sums,
     b_value,
     center,
@@ -45,17 +44,6 @@ def random_centered(n, theta, seed):
     rng = np.random.default_rng(seed)
     raw = rng.random((n, n))
     return center((raw + raw.T) / 2.0, EwensParams(n=n, theta=theta))
-
-
-def test_square_bias_config_validation():
-    cfg = SquareBiasConfig(i=1, j=2, r=3, s=4, k=3, l=5, case="A5_2", b=-0.1)
-    assert cfg.constraint_map() == {3: 1, 4: 2, 1: 3, 2: 5}
-    assert cfg.deleted_labels() == frozenset({1, 2, 3, 4})
-    for b in (0.0, -0.0, float("nan")):
-        with pytest.raises(ValueError, match="nonzero b"):
-            SquareBiasConfig(i=1, j=2, r=3, s=4, k=3, l=5, case="A5_2", b=b)
-    with pytest.raises(ValueError, match="inconsistent with case"):
-        SquareBiasConfig(i=1, j=2, r=3, s=4, k=5, l=6, case="A5_1", b=0.1)
 
 
 def test_index_weights_sum_to_ydiff():
@@ -163,15 +151,14 @@ def test_sampled_configs_have_positive_exact_weight():
     sampler = SquareBiasSampler(A, params)
     rng = np.random.default_rng(5)
     for _ in range(400):
-        cfg = sampler.sample(rng)
-        assert cfg.case in ("A1", "A2", "A3", "A4", "A5_1", "A5_2", "A5_3", "A5_4")
-        b = b_value(cfg.i, cfg.j, cfg.r, cfg.s, cfg.k, cfg.l, cfg.case, A)
-        assert cfg.b == b
-        assert b * b * constrained_prob(cfg.constraint_map(), params) > 0.0
+        config = sampler.sample(rng)
+        b = b_value(*config, A)
+        assert abs(b) > 0.0
+        assert b * b * constrained_prob(_case_constraints(n, *config), params) > 0.0
 
 
 def test_sequential_route_samples_the_same_law():
-    """Pearson chi^2 of sampled (case, r, s, k, l) configurations against
+    """Pearson chi^2 of sampled (r, s, k, l) configurations against
     the exact per-pair law from enumeration, cells pooled to an expected
     count of at least 5, rejected above the null upper 1e-6 quantile."""
     n = 7
@@ -182,18 +169,17 @@ def test_sequential_route_samples_the_same_law():
     draws = 40_000
     for i, j in ((2, 6), (5, 1)):
         law: dict[tuple, float] = {}
-        for case, r, s, k, l in iter_case_configs(n, i, j):
-            w = _config_weight(A, params, i, j, case, r, s, k, l)
+        for _, r, s, k, l in iter_case_configs(n, i, j):
+            w = _config_weight(A, params, i, j, r, s, k, l)
             if w > 0.0:
-                key = (case, r, s, k, l)
+                key = (r, s, k, l)
                 law[key] = law.get(key, 0.0) + w
         cells = list(law)
         index = {key: t for t, key in enumerate(cells)}
         counts = np.zeros(len(cells))
         for _ in range(draws):
-            cfg = sampler.sample_config(i, j, rng)
             # a configuration outside the exact support raises KeyError here
-            counts[index[(cfg.case, cfg.r, cfg.s, cfg.k, cfg.l)]] += 1
+            counts[index[sampler.sample_config(i, j, rng)]] += 1
         probs = np.array([law[key] for key in cells])
         probs /= probs.sum()
         pooled_counts, pooled_probs = pool_cells(counts, probs, 5.0)
@@ -206,9 +192,8 @@ def test_sample_config_draws_for_the_given_pair():
     params = EwensParams(n=n, theta=1.3)
     A = random_centered(n, 1.3, 41)
     sampler = SquareBiasSampler(A, params)
-    cfg = sampler.sample_config(2, 5, np.random.default_rng(0))
-    assert (cfg.i, cfg.j) == (2, 5)
-    assert cfg.b == b_value(2, 5, cfg.r, cfg.s, cfg.k, cfg.l, cfg.case, A) != 0.0
+    r, s, k, l = sampler.sample_config(2, 5, np.random.default_rng(0))
+    assert b_value(2, 5, r, s, k, l, A) != 0.0
 
 
 def test_sample_config_zero_weight_pair():
@@ -263,15 +248,14 @@ def test_construct_dagger_realizes_constraints():
     for _ in range(300):
         img = rng.permutation(np.arange(1, n + 1))
         pi = Permutation(img.tolist())
-        cfg = sampler.sample(rng)
-        dagger = construct_dagger(pi, cfg)
-        assert dagger.inverse(cfg.i) == cfg.r
-        assert dagger.inverse(cfg.j) == cfg.s
-        assert dagger(cfg.i) == cfg.k
-        assert dagger(cfg.j) == cfg.l
-        assert classify(cfg.i, cfg.j, dagger) == cfg.case
+        i, j, r, s, k, l = config = sampler.sample(rng)
+        dagger = construct_dagger(pi, config)
+        assert dagger.inverse(i) == r
+        assert dagger.inverse(j) == s
+        assert dagger(i) == k
+        assert dagger(j) == l
         # outside the deleted labels the reduced permutation is untouched
-        D = cfg.deleted_labels()
+        D = {i, j, r, s}
         assert reduce_delete(dagger, D) == reduce_delete(pi, D)
         assert sum(1 for x in range(1, n + 1) if dagger(x) != pi(x)) <= 10
 
@@ -280,8 +264,7 @@ def test_construct_dagger_hand_example():
     # pi = (1 2 3 4 5)(6 7 8); force pi(1) = 3 with 2 = pre(1), 4 = pre(5)... :
     # config in case A5_4 with i=1, j=5, r=2, s=4, k=3, l=6
     pi = Permutation.from_cycles(8, [(1, 2, 3, 4, 5), (6, 7, 8)])
-    cfg = SquareBiasConfig(i=1, j=5, r=2, s=4, k=3, l=6, case="A5_4", b=1.0)
-    dagger = construct_dagger(pi, cfg)
+    dagger = construct_dagger(pi, (1, 5, 2, 4, 3, 6))
     assert dagger(2) == 1 and dagger(1) == 3
     assert dagger(4) == 5 and dagger(5) == 6
     # reduction by D = {1, 2, 4, 5} must match: pi reduced there is (3)(6 7 8)
@@ -319,11 +302,11 @@ def test_sample_approx_zero_bias_invariants():
     rng = np.random.default_rng(71)
     images = sample_crp_images(params, rng, count)
     for t in range(count):
-        cfg = sampler.sample(rng)
+        config = sampler.sample(rng)
         u = float(rng.random())
         pi = Permutation([int(v) for v in images[t]])
-        pi_dagger = construct_dagger(pi, cfg)
-        pi_ddagger = pi_dagger.conjugate_by_transposition(cfg.i, cfg.j)
+        pi_dagger = construct_dagger(pi, config)
+        pi_ddagger = pi_dagger.conjugate_by_transposition(*config[:2])
         yp, yd, ydd, ys = (
             out[key][t] for key in ("y_prime", "y_dagger", "y_ddagger", "y_star")
         )
@@ -336,7 +319,6 @@ def test_sample_approx_zero_bias_invariants():
         assert pi_ddagger != pi_dagger
         assert yd != ydd
         assert abs(ys - yp) <= limit * (1.0 + 1e-9)
-        assert classify(cfg.i, cfg.j, pi_dagger) == cfg.case
 
 
 def test_batch_matches_scalar_construction():
@@ -355,11 +337,11 @@ def test_batch_matches_scalar_construction():
         rng = np.random.default_rng([1, n])
         images = sample_crp_images(params, rng, count)
         for t in range(count):
-            cfg = sampler.sample(rng)
+            config = sampler.sample(rng)
             u = float(rng.random())
             pi = Permutation([int(v) for v in images[t]])
-            dagger = construct_dagger(pi, cfg)
-            ddagger = dagger.conjugate_by_transposition(cfg.i, cfg.j)
+            dagger = construct_dagger(pi, config)
+            ddagger = dagger.conjugate_by_transposition(*config[:2])
             assert out["u"][t] == u
             assert out["y_prime"][t] == pytest.approx(statistic(A, pi), abs=1e-12)
             assert out["y_dagger"][t] == pytest.approx(
@@ -374,7 +356,7 @@ def test_batch_matches_scalar_construction():
             assert 0.0 <= u <= 1.0
             assert ys == pytest.approx(u * yd + (1.0 - u) * ydd)
             assert yd != ydd
-            assert yd - ydd == pytest.approx(cfg.b, abs=1e-12)
+            assert yd - ydd == pytest.approx(b_value(*config, A), abs=1e-12)
             assert abs(ys - yp) <= limit * (1.0 + 1e-9)
 
 
@@ -396,11 +378,11 @@ def test_batch_replays_across_chunk_boundaries():
     for lo in range(0, count, ZERO_BIAS_CHUNK_ROWS):
         rows = min(ZERO_BIAS_CHUNK_ROWS, count - lo)
         for image in sample_crp_images(params, rng, rows):
-            cfg = sampler.sample(rng)
+            config = sampler.sample(rng)
             u = float(rng.random())
             pi = Permutation([int(v) for v in image])
-            dagger = construct_dagger(pi, cfg)
-            ddagger = dagger.conjugate_by_transposition(cfg.i, cfg.j)
+            dagger = construct_dagger(pi, config)
+            ddagger = dagger.conjugate_by_transposition(*config[:2])
             yp, yd, ydd, ys = (
                 out[key][t] for key in ("y_prime", "y_dagger", "y_ddagger", "y_star")
             )
@@ -411,7 +393,7 @@ def test_batch_replays_across_chunk_boundaries():
             assert 0.0 <= u <= 1.0
             assert ys == pytest.approx(u * yd + (1.0 - u) * ydd)
             assert yd != ydd
-            assert yd - ydd == pytest.approx(cfg.b, abs=1e-12)
+            assert yd - ydd == pytest.approx(b_value(*config, A), abs=1e-12)
             assert abs(ys - yp) <= limit * (1.0 + 1e-9)
             t += 1
     assert t == count

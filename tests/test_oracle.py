@@ -518,6 +518,27 @@ def test_imports_live_at_module_level():
     assert offenders == []
 
 
+def test_every_exported_name_resolves():
+    """Every name in the package's __all__ and in each module's __all__ is
+    an attribute of that module, so removing a definition without its
+    export fails here rather than on a star import."""
+    package = Path(ewens_stein.__file__).parent
+    modules = [ewens_stein] + [
+        importlib.import_module(f"ewens_stein.{p.stem}")
+        for p in sorted(package.glob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert len(exporting) >= 9
+    dangling = [
+        f"{m.__name__}.{name}"
+        for m in exporting
+        for name in m.__all__
+        if not hasattr(m, name)
+    ]
+    assert dangling == []
+
+
 def test_traced_entry_points_exist():
     """Every entry point the benchmark's tracer rebinds (perfbench/spans.py,
     TRACED) is still an attribute of its module, so deleting one fails

@@ -8,8 +8,10 @@ import pytest
 from ewens_stein.bounds import remainder_bounds
 from ewens_stein.ewens import EwensParams, ewens_pmf
 from ewens_stein.oracle import (
+    CASE_LABELS,
     _case_sums_direct,
     classify,
+    construct_dagger,
     enumerate_permutations,
     exact_expectation,
     exact_remainder,
@@ -19,7 +21,6 @@ from ewens_stein.oracle import (
 )
 from ewens_stein.permutations import Permutation
 from ewens_stein.statistic import (
-    CASE_LABELS,
     DegenerateError,
     _SQUARE_SUMS,
     SQUARE_BIAS_BUCKETS,
@@ -166,10 +167,7 @@ def test_b_value_is_the_conjugation_difference():
             pi = Permutation(img.tolist())
             i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             i, j = int(i), int(j)
-            got = b_value(
-                i, j, pi.inverse(i), pi.inverse(j), pi(i), pi(j),
-                classify(i, j, pi), A,
-            )
+            got = b_value(i, j, pi.inverse(i), pi.inverse(j), pi(i), pi(j), A)
             expected = statistic(A, pi) - statistic(
                 A, pi.conjugate_by_transposition(i, j)
             )
@@ -179,12 +177,13 @@ def test_b_value_is_the_conjugation_difference():
 def test_b_value_zero_on_closed_patterns():
     A = random_centered(8, 1.0, 5)
     # A0: transposing two fixed points or a 2-cycle changes nothing
-    assert b_value(1, 2, 1, 2, 1, 2, "A0_1", A) == 0.0
-    assert b_value(1, 2, 2, 1, 2, 1, "A0_2", A) == 0.0
-    # symmetric matrices kill the 3-cycle and 4-cycle patterns exactly
-    assert b_value(1, 2, 3, 1, 2, 3, "A3", A) == 0.0
-    assert b_value(1, 2, 2, 3, 3, 1, "A4", A) == 0.0
-    assert b_value(1, 2, 3, 4, 4, 3, "A5_4", A) == 0.0
+    assert b_value(1, 2, 1, 2, 1, 2, A) == 0.0
+    assert b_value(1, 2, 2, 1, 2, 1, A) == 0.0
+    # symmetric matrices kill the 3-cycle (A3, A4) and 4-cycle (A5_4)
+    # patterns exactly
+    assert b_value(1, 2, 3, 1, 2, 3, A) == 0.0
+    assert b_value(1, 2, 2, 3, 3, 1, A) == 0.0
+    assert b_value(1, 2, 3, 4, 4, 3, A) == 0.0
 
 
 def test_b_value_is_correctly_rounded():
@@ -205,25 +204,60 @@ def test_b_value_is_correctly_rounded():
                     if i == j:
                         continue
                     tau = {i: j, j: i}
-                    for case, r, s, k, l in iter_case_configs(n, i, j):
-                        C = _case_constraints(i, j, r, s, k, l)
+                    for _, r, s, k, l in iter_case_configs(n, i, j):
+                        C = _case_constraints(n, i, j, r, s, k, l)
                         exact = sum(
                             Fraction(c[x - 1, y - 1])
                             - Fraction(c[tau.get(x, x) - 1, tau.get(y, y) - 1])
                             for x, y in C.items()
                         )
-                        got = b_value(i, j, r, s, k, l, case, A)
-                        assert got == float(exact), (n, i, j, case, r, s, k, l)
+                        got = b_value(i, j, r, s, k, l, A)
+                        assert got == float(exact), (n, i, j, r, s, k, l)
 
 
 def test_b_value_rejects_inconsistent_arguments():
+    """b_value and construct_dagger accept exactly the tuples some
+    permutation realizes: labels in [1, n], i != j, and a constraint map
+    {r: i, s: j, i: k, j: l} that is a consistent injection."""
+    n = 6
+    A = random_centered(n, 1.0, 6)
+    assert _case_constraints(n, 1, 2, 3, 4, 3, 5) == {3: 1, 4: 2, 1: 3, 2: 5}
+    with pytest.raises(ValueError, match="send two labels to one"):
+        b_value(1, 2, 3, 4, 1, 5, A)  # 3 and 1 both map to 1
+    with pytest.raises(ValueError, match="inconsistent constraints"):
+        b_value(1, 2, 1, 4, 3, 5, A)  # 1 maps to 1 and to 3
+    with pytest.raises(ValueError, match="must be distinct"):
+        b_value(3, 3, 1, 1, 4, 4, A)
+    # the accepted set of one pair against enumeration
+    i, j = 2, 5
+    realized = {
+        (pi.inverse(i), pi.inverse(j), pi(i), pi(j))
+        for pi in enumerate_permutations(n)
+    }
+    ident = Permutation.identity(n)
+    accepted = set()
+    for tup in itertools.product(range(1, n + 1), repeat=4):
+        try:
+            b_value(i, j, *tup, A)
+        except ValueError:
+            with pytest.raises(ValueError):
+                construct_dagger(ident, (i, j, *tup))
+            continue
+        construct_dagger(ident, (i, j, *tup))
+        accepted.add(tup)
+    assert len(accepted) == 210
+    assert accepted == realized
+
+
+@pytest.mark.parametrize("label", [0, 7])
+@pytest.mark.parametrize("position", range(6))
+def test_b_value_rejects_labels_outside_the_index_range(label, position):
+    # a label 0 would wrap to the matrix's last row, 7 would overrun it
     A = random_centered(6, 1.0, 6)
-    with pytest.raises(ValueError, match="inconsistent with case A1"):
-        b_value(1, 2, 3, 4, 1, 5, "A1", A)  # A1 needs pre_i == i
-    with pytest.raises(ValueError, match="inconsistent with case A5_1"):
-        b_value(1, 2, 3, 4, 3, 5, "A5_1", A)  # A5_1 needs post_j == pre_j
-    with pytest.raises(ValueError, match="unknown case"):
-        b_value(1, 2, 3, 4, 5, 6, "A9", A)
+    args = [1, 2, 3, 4, 3, 5]
+    args[position] = label
+    with pytest.raises(ValueError, match=r"must lie in \[1, 6\]"):
+        b_value(*args, A)
 
 
 def test_sum_of_b_matches_statistic_identity():
@@ -234,10 +268,7 @@ def test_sum_of_b_matches_statistic_identity():
         A = random_centered(n, theta, seed)
         for pi in enumerate_permutations(n):
             total = math.fsum(
-                b_value(
-                    i, j, pi.inverse(i), pi.inverse(j), pi(i), pi(j),
-                    classify(i, j, pi), A,
-                )
+                b_value(i, j, pi.inverse(i), pi.inverse(j), pi(i), pi(j), A)
                 for i in range(1, n + 1)
                 for j in range(1, n + 1)
                 if i != j
@@ -248,7 +279,9 @@ def test_sum_of_b_matches_statistic_identity():
 
 def test_iter_case_configs_agree_with_realized_permutations():
     """The config stream must be exactly the set of (case, r, s, k, l)
-    shapes that permutations actually realize, pair by pair."""
+    shapes that permutations actually realize, pair by pair, and the case
+    must be a function of (r, s, k, l): dropping it loses no
+    configuration of any pair at n = 6 and 7."""
     n = 6
     i, j = 2, 5
     iterated = set(iter_case_configs(n, i, j))
@@ -259,6 +292,10 @@ def test_iter_case_configs_agree_with_realized_permutations():
             continue
         realized.add((case, pi.inverse(i), pi.inverse(j), pi(i), pi(j)))
     assert iterated == realized
+    for n in (6, 7):
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            configs = list(iter_case_configs(n, i, j))
+            assert len({config[1:] for config in configs}) == len(configs)
 
 
 def test_variance_decomposition_frozen():
