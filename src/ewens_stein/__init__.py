@@ -3,7 +3,10 @@
 Sampling and exact computation for the Ewens measure on permutations,
 Stein exchangeable pairs and approximate zero-bias couplings for the
 statistic Y = sum_i a_{i, pi(i)}, explicit Berry-Esseen bound constants,
-exact small-n enumeration oracles, and normal-distance estimation.
+and normal-distance estimation.  The root exports the production names;
+the small-n enumeration references live in ``ewens_stein.oracle``, of
+which only ``exact_statistic_law``, the exact law behind ``bound_report``
+at n <= 8, is exported here.
 """
 
 from .bounds import (
@@ -42,25 +45,7 @@ from .ewens import (
     rising_factorial,
     sample_crp_images,
 )
-from .oracle import (
-    DiscreteLaw,
-    Remainder,
-    classify,
-    conditional_remaining_prob,
-    constrained_prob,
-    construct_dagger,
-    constructive_square_bias_law,
-    cycle_count_factorial_moment,
-    cycle_type,
-    exact_remainder,
-    exact_expectation,
-    exact_square_bias_law,
-    exact_statistic_law,
-    mapping_cycle_count,
-    reduce_delete,
-    statistic,
-)
-from .permutations import CycleType, Permutation
+from .oracle import exact_statistic_law
 from .statistic import (
     DegenerateError,
     ScoreMatrix,
@@ -78,13 +63,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "C1Moments",
-    "CycleType",
     "DegenerateError",
-    "DiscreteLaw",
     "DistanceEstimate",
     "EwensParams",
-    "Permutation",
-    "Remainder",
     "ScoreMatrix",
     "SquareBiasSampler",
     "VarianceDecomposition",
@@ -94,20 +75,10 @@ __all__ = [
     "bound_report",
     "c1_moments",
     "center",
-    "classify",
-    "conditional_remaining_prob",
-    "constrained_prob",
-    "construct_dagger",
-    "constructive_square_bias_law",
-    "cycle_count_factorial_moment",
-    "cycle_type",
     "cycle_type_pmf",
     "empirical_distances",
     "ewens_pmf",
     "exact_distances",
-    "exact_expectation",
-    "exact_remainder",
-    "exact_square_bias_law",
     "exact_statistic_law",
     "falling_factorial",
     "generic_zero_bias_bounds",
@@ -118,15 +89,12 @@ __all__ = [
     "kappa2",
     "kolmogorov_empirical",
     "kolmogorov_exact",
-    "mapping_cycle_count",
     "normal_cdf",
-    "reduce_delete",
     "remainder_bounds",
     "rising_factorial",
     "sample_crp_images",
     "sample_zero_bias_batch",
     "sigma_squared",
-    "statistic",
     "t_statistic",
     "variance_decomposition",
     "wasserstein_empirical",

@@ -19,7 +19,6 @@ import numpy as np
 
 from .bounds import CSV_COLUMNS, bound_report
 from .ewens import EwensParams, cycle_type_pmf, ewens_pmf
-from .permutations import CycleType, Permutation
 from .statistic import DegenerateError
 
 EXIT_OK = 0
@@ -44,7 +43,7 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_USAGE
 
 
-def _parse_perm(text: str) -> Permutation:
+def _parse_ints(text: str, kind: str) -> list[int]:
     values = []
     for pos, token in enumerate(text.split(","), start=1):
         token = token.strip()
@@ -52,27 +51,10 @@ def _parse_perm(text: str) -> Permutation:
             values.append(int(token))
         except ValueError:
             raise UsageError(
-                f"cannot parse permutation: entry {token!r} at position {pos} "
+                f"cannot parse {kind}: entry {token!r} at position {pos} "
                 "is not an integer"
             ) from None
-    return Permutation(values)
-
-
-def _parse_ctype(text: str, n: int) -> CycleType:
-    counts = []
-    for pos, token in enumerate(text.split(","), start=1):
-        token = token.strip()
-        try:
-            counts.append(int(token))
-        except ValueError:
-            raise UsageError(
-                f"cannot parse cycle type: entry {token!r} at position {pos} "
-                "is not an integer"
-            ) from None
-    if len(counts) > n:
-        raise UsageError(f"cycle type has {len(counts)} entries but n = {n}")
-    counts.extend([0] * (n - len(counts)))
-    return CycleType(tuple(counts))
+    return values
 
 
 def _parse_grid(text: str, kind: str, cast):
@@ -151,13 +133,15 @@ def cmd_pmf(args) -> int:
         raise UsageError("pmf needs exactly one of --perm or --ctype")
     params = EwensParams(n=args.n, theta=args.theta)
     if args.perm is not None:
-        perm = _parse_perm(args.perm)
-        if perm.n != args.n:
-            raise UsageError(f"permutation has {perm.n} entries but n = {args.n}")
-        value = ewens_pmf(perm, params)
+        images = _parse_ints(args.perm, "permutation")
+        if len(images) != args.n:
+            raise UsageError(f"permutation has {len(images)} entries but n = {args.n}")
+        value = ewens_pmf(images, params)
     else:
-        ctype = _parse_ctype(args.ctype, args.n)
-        value = cycle_type_pmf(ctype, params)
+        counts = _parse_ints(args.ctype, "cycle type")
+        if len(counts) > args.n:
+            raise UsageError(f"cycle type has {len(counts)} entries but n = {args.n}")
+        value = cycle_type_pmf(counts + [0] * (args.n - len(counts)), params)
     print(value)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ is not carried.
 of rows at a time, deletes
 D = {i, j, r, s} from its cycles and reinserts them to realize the
 constraints, working on image and inverse arrays, and returns
-Y* = U Y† + (1-U) Y‡, which lies within 20 M of Y'.  The Permutation-level
+Y* = U Y† + (1-U) Y‡, which lies within 20 M of Y'.  The enumeration
 reference for that surgery is ``oracle.construct_dagger``.  Both the
 surgery and b = Y† - Y‡ are read off the configuration's constraint map
 {r: i, s: j, i: k, j: l}; b is its signed sum of at most eight centered
@@ -246,14 +246,13 @@ def sample_zero_bias_batch(
 ) -> dict[str, np.ndarray]:
     """Zero-bias sampling returning arrays of Y', Y†, Y‡, Y* and U.
 
-    Each row edits a CRP permutation in place of building a Permutation
-    object: it draws its pair and labels from the sampler and builds their
-    constraint map once, which gives both the surgery and b.  Once Y' is
+    Each row edits the image row of a CRP permutation in place: it draws
+    its pair and labels from the sampler and builds their constraint map
+    once, which gives both the surgery and b.  Once Y' is
     summed from the chunk's images, the surgery's at most 10 changes are
     written into the row's images, one more ``block_statistic`` call gives
     the chunk's Y†, and Y‡ = Y† - b.
-    ``oracle.construct_dagger`` is the Permutation-level reference for the
-    edit.
+    ``oracle.construct_dagger`` is the reference for the edit.
 
     Rows run in chunks of ``ZERO_BIAS_CHUNK_ROWS`` on the one generator: a
     chunk draws its CRP images, then each of its rows draws its
@@ -261,12 +260,16 @@ def sample_zero_bias_batch(
     most one chunk thus draws all its images before any configuration.
     Only the five (count,) outputs grow with count; a chunk's images,
     inverses and index temporaries take at most 16 bytes per image entry.
+    A ``sampler`` must be built for the same centered matrix and params.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     if sampler is None:
         sampler = SquareBiasSampler(A, params)
+    elif sampler.params != params or not np.array_equal(sampler.A.centered, A.centered):
+        # b and the pair law would come from the sampler's matrix, Y' from A
+        raise ValueError("sampler was built for another matrix or params")
     padded = padded_scores(A)
     centered = sampler.A.centered
     cols = np.arange(1, params.n + 1)

@@ -3,22 +3,26 @@ fixed-point moments.
 
 The measure with parameter theta > 0 puts mass theta^{#(pi)} / theta^{(n)}
 on each permutation pi, where #(pi) is the cycle count and x^{(n)} denotes
-the rising factorial.  theta = 1 is the uniform distribution.  Both pmfs
-evaluate that quotient directly in floats, and redo it exactly in integers
-where a float step leaves the normal range.  The closed forms for partially
-specified permutations and joint cycle-count moments, which only the tests
-use, live in ``oracle.py``.
+the rising factorial.  theta = 1 is the uniform distribution.  A
+permutation is the sequence of its 1-based images, the form of a
+``sample_crp_images`` row; a cycle type is its count vector
+(c_1, ..., c_n).  Both pmfs share one kernel, which evaluates the
+quotient directly in floats and redoes it exactly in integers where an
+operand or the result leaves the normal range.  The permutation objects
+of the enumerating references, and the closed forms for partially
+specified permutations and joint cycle-count moments, which only the
+tests use, live in ``oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .permutations import CycleType, Permutation
 
 __all__ = [
     "EwensParams",
@@ -30,10 +34,6 @@ __all__ = [
     "c1_moments",
     "C1Moments",
 ]
-
-# 170! is the largest factorial a float holds
-_MAX_FLOAT_FACTORIAL_N = 170
-
 
 @dataclass(frozen=True)
 class EwensParams:
@@ -87,7 +87,7 @@ def _rising_product(a: int, b: int, n: int) -> int:
     return factors[0] if factors else 1
 
 
-def _exact_pmf(theta: float, n: int, cycles: int, size: int = 1) -> float:
+def _exact_pmf(theta: float, n: int, cycles: int, size: int) -> float:
     """size * theta^cycles / theta^(n) exactly at the float theta = a/b,
     rounded once: size a^cycles b^(n-cycles) / prod_t (a + t b) is a single
     int / int division, which Python rounds correctly."""
@@ -95,53 +95,70 @@ def _exact_pmf(theta: float, n: int, cycles: int, size: int = 1) -> float:
     return size * a**cycles * b ** (n - cycles) / _rising_product(a, b, n)
 
 
-def ewens_pmf(perm: Permutation, params: EwensParams) -> float:
-    """P_theta(pi) = theta^{#(pi)} / theta^{(n)}."""
-    if perm.n != params.n:
-        raise ValueError(f"permutation is on [{perm.n}] but params.n = {params.n}")
-    theta, cycles = params.theta, perm.cycle_count()
-    rising = rising_factorial(theta, params.n)
-    # theta^c <= theta^(n), so the power is finite wherever rising is; a
-    # quotient with an operand or result outside the normal range (an
-    # overflow, or a subnormal that has lost bits) is redone exactly
-    if _normal(rising):
+def _pmf(theta: float, n: int, cycles: int, size: int = 1) -> float:
+    """size * theta^cycles / theta^(n): the mass of ``size`` permutations
+    with ``cycles`` cycles each.
+
+    The direct float quotient stands where size is a float and theta^(n),
+    theta^cycles and the result are normal; theta^c <= theta^(n), so the
+    power is finite wherever rising is.  A quotient with an operand or
+    result outside the normal range (an overflow, or a subnormal that has
+    lost bits) is redone exactly.
+    """
+    rising = rising_factorial(theta, n)
+    if size <= sys.float_info.max and _normal(rising):
         power = theta**cycles
-        p = power / rising
+        p = size * power / rising
         if _normal(power, p):
             return p
-    return _exact_pmf(theta, params.n, cycles)
+    return _exact_pmf(theta, n, cycles, size)
 
 
-def cycle_type_pmf(ctype: CycleType, params: EwensParams) -> float:
-    """Probability of observing the cycle-count vector c under Ewens(theta).
+def ewens_pmf(images: Sequence[int], params: EwensParams) -> float:
+    """P_theta(pi) = theta^{#(pi)} / theta^{(n)}, pi given by its 1-based
+    images (images[i-1] = pi(i)), as in a ``sample_crp_images`` row."""
+    n = params.n
+    if len(images) != n:
+        raise ValueError(f"permutation is on [{len(images)}] but params.n = {n}")
+    seen = [False] * (n + 1)
+    for x in images:
+        if not 1 <= x <= n:
+            raise ValueError(f"image label {x} is outside [1, {n}]")
+        if seen[x]:
+            raise ValueError(f"not a bijection: label {x} appears twice")
+        seen[x] = True
+    # every label is seen; walking a cycle clears its labels
+    cycles = 0
+    for start in range(1, n + 1):
+        if seen[start]:
+            cycles += 1
+            x = start
+            while seen[x]:
+                seen[x] = False
+                x = images[x - 1]
+    return _pmf(params.theta, n, cycles)
+
+
+def cycle_type_pmf(counts: Sequence[int], params: EwensParams) -> float:
+    """Probability of observing the cycle-count vector (c_1, ..., c_n)
+    under Ewens(theta).
 
     Equals n!/theta^{(n)} * prod_j theta^{c_j} / (j^{c_j} c_j!), and 0 for
     vectors with sum_j j*c_j != n.
     """
     n = params.n
-    if ctype.n != n:
-        raise ValueError(f"cycle type is for n = {ctype.n}, params.n = {n}")
-    if not ctype.is_valid():
+    counts = [int(c) for c in counts]
+    if any(c < 0 for c in counts):
+        raise ValueError("cycle counts must be nonnegative")
+    if len(counts) != n:
+        raise ValueError(f"cycle type is for n = {len(counts)}, params.n = {n}")
+    if sum(j * c for j, c in enumerate(counts, start=1)) != n:
         return 0.0
-    theta = params.theta
-    rising = rising_factorial(theta, n)
-    # as in ewens_pmf, the direct route stands where every factor and
-    # partial product is normal; n! must be a float, and each j^c c! divides it
-    if n <= _MAX_FLOAT_FACTORIAL_N and _normal(rising):
-        p = math.factorial(n) / rising
-        steps = [p]
-        for j, c in enumerate(ctype.counts, start=1):
-            if c:
-                factor = theta**c / (j**c * math.factorial(c))
-                p *= factor
-                steps += (factor, p)
-        if _normal(*steps):
-            return p
     # n! / prod_j j^{c_j} c_j! permutations share the cycle type
     size = math.factorial(n)
-    for j, c in enumerate(ctype.counts, start=1):
+    for j, c in enumerate(counts, start=1):
         size //= j**c * math.factorial(c)
-    return _exact_pmf(theta, n, ctype.cycle_count(), size)
+    return _pmf(params.theta, n, sum(counts), size)
 
 
 def sample_crp_images(

@@ -1,7 +1,11 @@
 """Reference computations for the tests: brute-force enumeration over S_n,
 and closed forms that no production route calls.
 
-The enumerating references weight all n! permutations with the Ewens pmf,
+Production passes a permutation as the sequence of its 1-based images;
+the references here walk ``Permutation`` objects, an image tuple with
+cached cycles, inverse and transposition conjugates, and hand
+``perm.image`` to the production pmf and ``t_statistic``.  The
+enumerating references weight all n! permutations with the Ewens pmf,
 so they are deliberately independent of the constructive samplers and
 case-by-case formulas they are used to check.
 ``exact_statistic_law`` builds S_n by insertion (label m becomes a fixed
@@ -24,10 +28,11 @@ surgery on ``Permutation`` objects for a configuration tuple
 and ``_config_weight`` gives a configuration's exact mass
 b^2 * P(constraints).
 
-The closed-form references sit beside them: a permutation's cycle type and
-the deletion of labels from its cycles (``cycle_type``, ``reduce_delete``,
-``mapping_cycles``); the Ewens probabilities of partially specified
-permutations,
+The closed-form references sit beside them: a permutation's cycle type
+as its count tuple (c_1, ..., c_n), the form ``cycle_type_pmf`` takes,
+and the deletion of labels from its cycles (``cycle_type``,
+``reduce_delete``, ``mapping_cycles``); the Ewens probabilities of
+partially specified permutations,
 
     P(pi(a) = xi_a, a in B)          = theta^{loops} / (theta+n-1)_(|B|)
     P(rest | pi fixed on B)          = theta^{#(pi\\B)} / theta^{(n-|B|)}
@@ -53,7 +58,6 @@ import numpy as np
 
 from .coupling import index_square_bias_weights
 from .ewens import EwensParams, ewens_pmf, falling_factorial, rising_factorial
-from .permutations import CycleType, Permutation
 from .statistic import (
     DegenerateError,
     ScoreMatrix,
@@ -63,6 +67,7 @@ from .statistic import (
 )
 
 __all__ = [
+    "Permutation",
     "CASE_LABELS",
     "MAX_MARGINAL_N",
     "MAX_JOINT_N",
@@ -123,17 +128,161 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form references: permutation helpers, the Ewens constraint
-# probabilities and cycle-count moments, and Y and the case of one pair
+# The Permutation object of the enumerating references
 # ---------------------------------------------------------------------------
 
 
-def cycle_type(perm: Permutation) -> CycleType:
+class Permutation:
+    """A bijection of [n], stored as a one-line image array.
+
+    ``Permutation([2, 3, 1])`` is the 3-cycle sending 1 -> 2 -> 3 -> 1.
+    Instances are immutable; cycle data is computed lazily and cached.
+    """
+
+    __slots__ = ("_image", "_inverse", "_cycles", "_cycle_len")
+
+    def __init__(self, images: Sequence[int]):
+        image = tuple(int(x) for x in images)
+        n = len(image)
+        if n == 0:
+            raise ValueError("a permutation needs at least one element")
+        seen = [False] * (n + 1)
+        for x in image:
+            if not 1 <= x <= n:
+                raise ValueError(f"image label {x} is outside [1, {n}]")
+            if seen[x]:
+                raise ValueError(f"not a bijection: label {x} appears twice")
+            seen[x] = True
+        self._image = image
+        self._inverse: tuple[int, ...] | None = None
+        self._cycles: tuple[tuple[int, ...], ...] | None = None
+        self._cycle_len: tuple[int, ...] | None = None
+
+    # -- construction helpers -------------------------------------------
+
+    @classmethod
+    def identity(cls, n: int) -> "Permutation":
+        return cls(range(1, n + 1))
+
+    @classmethod
+    def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> "Permutation":
+        """Build from a cycle decomposition; omitted labels are fixed points."""
+        image = list(range(1, n + 1))
+        touched = set()
+        for cyc in cycles:
+            cyc = list(cyc)
+            for a in cyc:
+                if a in touched:
+                    raise ValueError(f"label {a} appears in two cycles")
+                touched.add(a)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                image[a - 1] = b
+        return cls(image)
+
+    # -- basic protocol ---------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return len(self._image)
+
+    @property
+    def image(self) -> tuple[int, ...]:
+        """The one-line image tuple, 1-based: image[i-1] = pi(i)."""
+        return self._image
+
+    def __call__(self, i: int) -> int:
+        return self._image[i - 1]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Permutation) and self._image == other._image
+
+    def __hash__(self) -> int:
+        return hash(self._image)
+
+    def __repr__(self) -> str:
+        body = "".join(
+            "(" + " ".join(str(x) for x in cyc) + ")" for cyc in self.cycles()
+        )
+        return f"Permutation[{body}]"
+
+    # -- cycle structure --------------------------------------------------
+
+    def inverse(self, i: int) -> int:
+        """pi^{-1}(i)."""
+        if self._inverse is None:
+            inv = [0] * self.n
+            for pos, x in enumerate(self._image):
+                inv[x - 1] = pos + 1
+            self._inverse = tuple(inv)
+        return self._inverse[i - 1]
+
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Cycle decomposition; each cycle starts at its least label,
+        cycles ordered by least label."""
+        if self._cycles is None:
+            n = self.n
+            img = self._image
+            seen = [False] * (n + 1)
+            out = []
+            for start in range(1, n + 1):
+                if seen[start]:
+                    continue
+                cyc = []
+                x = start
+                while not seen[x]:
+                    seen[x] = True
+                    cyc.append(x)
+                    x = img[x - 1]
+                out.append(tuple(cyc))
+            self._cycles = tuple(out)
+        return self._cycles
+
+    def cycle_count(self) -> int:
+        return len(self.cycles())
+
+    def cycle_len(self, i: int) -> int:
+        """Length of the cycle containing label i."""
+        if self._cycle_len is None:
+            lens = [0] * (self.n + 1)
+            for cyc in self.cycles():
+                for a in cyc:
+                    lens[a] = len(cyc)
+            self._cycle_len = tuple(lens)
+        return self._cycle_len[i]
+
+    def fixed_points(self) -> tuple[int, ...]:
+        return tuple(i for i, x in enumerate(self._image, start=1) if x == i)
+
+    # -- operations used by the Stein-pair machinery ----------------------
+
+    def conjugate_by_transposition(self, i: int, j: int) -> "Permutation":
+        """tau pi tau for the transposition tau = (i j)."""
+        if i == j:
+            return self
+        img = list(self._image)
+        # conjugation relabels i <-> j in the cycle representation:
+        # swap the rows, then swap occurrences of i and j in the images.
+        img[i - 1], img[j - 1] = img[j - 1], img[i - 1]
+        pi, pj = self.inverse(i), self.inverse(j)
+        pi = j if pi == i else (i if pi == j else pi)
+        pj = j if pj == i else (i if pj == j else pj)
+        img[pi - 1], img[pj - 1] = j, i
+        return Permutation(img)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form references: the cycle-count tuple and label deletion, the
+# Ewens constraint probabilities and cycle-count moments, and Y and the
+# case of one pair
+# ---------------------------------------------------------------------------
+
+
+def cycle_type(perm: Permutation) -> tuple[int, ...]:
     """The vector (c_1, ..., c_n) where c_q is the number of q-cycles."""
     counts = [0] * perm.n
     for cyc in perm.cycles():
         counts[len(cyc) - 1] += 1
-    return CycleType(counts)
+    return tuple(counts)
 
 
 def reduce_delete(perm: Permutation, B: Iterable[int]) -> dict[int, int]:
@@ -540,7 +689,7 @@ def exact_expectation(
     """E[g(pi)] by full enumeration, compensated summation."""
     _check_cap(params.n, MAX_MARGINAL_N, "exact_expectation")
     return math.fsum(
-        g(perm) * ewens_pmf(perm, params)
+        g(perm) * ewens_pmf(perm.image, params)
         for perm in enumerate_permutations(params.n)
     )
 
@@ -565,7 +714,7 @@ def exact_square_bias_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
     pair_weight = 1.0 / (n * (n - 1))
     values, weights = [], []
     for perm in enumerate_permutations(n):
-        p = ewens_pmf(perm, params) * pair_weight
+        p = ewens_pmf(perm.image, params) * pair_weight
         y1 = y_of(perm.image)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -721,8 +870,8 @@ def exact_remainder(A: ScoreMatrix, params: EwensParams) -> Remainder:
     _check_cap(n, MAX_MARGINAL_N, "exact_remainder")
     perms = list(enumerate_permutations(n))
     ys = np.array([statistic(A, perm) for perm in perms])
-    ps = np.array([ewens_pmf(perm, params) for perm in perms])
-    ts = np.array([t_statistic(A, perm, params) for perm in perms])
+    ps = np.array([ewens_pmf(perm.image, params) for perm in perms])
+    ts = np.array([t_statistic(A, perm.image, params) for perm in perms])
     order = np.argsort(ys, kind="stable")
     ys = ys[order]
     starts = np.flatnonzero(_gaps(ys))
@@ -747,7 +896,7 @@ def constructive_square_bias_law(A: ScoreMatrix, params: EwensParams) -> Discret
     if A.n != n:
         raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
     all_perms = list(enumerate_permutations(n))
-    pmfs = [ewens_pmf(p, params) for p in all_perms]
+    pmfs = [ewens_pmf(p.image, params) for p in all_perms]
 
     reduced_cache: dict[frozenset[int], dict[tuple, float]] = {}
 

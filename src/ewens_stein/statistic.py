@@ -15,6 +15,8 @@ remainder bounds live in ``bounds.py``.
 Conventions fixed here and used everywhere downstream:
   * matrices are centered internally (grand mean removed), so all Stein
     formulas may assume mean zero;
+  * a permutation is the sequence of its 1-based images, images[i-1] =
+    pi(i), the form of a ``sample_crp_images`` row;
   * b = y' - y'' where pi'' = tau pi' tau is the transposition conjugate;
   * only symmetric matrices are accepted.
 """
@@ -23,12 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ewens import EwensParams, falling_factorial
-from .permutations import Permutation
 
 __all__ = [
     "DegenerateError",
@@ -211,17 +213,19 @@ def _t_weights(c: np.ndarray) -> tuple[np.ndarray, float]:
     return 2.0 * len(c) * np.diag(c) + 2.0 * tr - 4.0 * c.sum(axis=1), tr
 
 
-def t_statistic(A: ScoreMatrix, perm: Permutation, params: EwensParams) -> float:
-    """The remainder statistic T(pi), linear in the fixed-point set F.
+def t_statistic(A: ScoreMatrix, images: Sequence[int], params: EwensParams) -> float:
+    """The remainder statistic T(pi), linear in the fixed-point set F, for
+    pi given by its 1-based images.
 
     T = sum_{i in F} w_i - 4 theta tr A_hat (``_t_weights``), and the
     Stein remainder is R(Y') = E[T | Y']/(n(n-1)).
     """
-    if perm.n != params.n or A.n != params.n:
+    images = np.asarray(images)
+    if images.shape != (params.n,) or A.n != params.n:
         raise ValueError("size mismatch between matrix, permutation, and params")
     w, tr = _t_weights(A.centered)
-    fix = np.array([x - 1 for x in perm.fixed_points()], dtype=np.intp)
-    return float(w[fix].sum()) - 4.0 * params.theta * tr
+    fixed = images == np.arange(1, params.n + 1)
+    return float(w[fixed].sum()) - 4.0 * params.theta * tr
 
 
 # ---------------------------------------------------------------------------

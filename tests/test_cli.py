@@ -43,6 +43,19 @@ def test_pmf_parse_and_size_errors(capsys):
     assert main(["pmf", "--n", "3", "--ctype", "1,1,1,1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (["--perm", "1,1,2"], "error: not a bijection: label 1 appears twice"),
+        (["--perm", "0,1,2"], "error: image label 0 is outside [1, 3]"),
+        (["--ctype=1,-1,1"], "error: cycle counts must be nonnegative"),
+    ],
+)
+def test_pmf_bad_input_is_a_usage_error(capsys, query, message):
+    assert main(["pmf", "--n", "3", *query]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_bounds_json_stdout(capsys):
     assert main(["bounds", "--n", "6", "--seed", "3"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -16,6 +16,7 @@ from ewens_stein.coupling import (
 from ewens_stein.ewens import EwensParams, falling_factorial, sample_crp_images
 from ewens_stein.oracle import (
     MAX_JOINT_N,
+    Permutation,
     _config_weight,
     _pair_case_sums_direct,
     constrained_prob,
@@ -26,7 +27,6 @@ from ewens_stein.oracle import (
     reduce_delete,
     statistic,
 )
-from ewens_stein.permutations import Permutation
 from ewens_stein.statistic import (
     SQUARE_BIAS_BUCKETS,
     DegenerateError,
@@ -430,6 +430,26 @@ def test_batch_count_is_checked():
     out = sample_zero_bias_batch(A, params, 0, seed=0)
     assert list(out) == ["y_prime", "y_dagger", "y_ddagger", "y_star", "u"]
     assert all(v.shape == (0,) and v.dtype == np.float64 for v in out.values())
+
+
+def test_batch_rejects_a_mismatched_sampler():
+    """b and the pair law come from the sampler's matrix and Y' from A, so
+    a sampler built for another theta or another matrix is refused."""
+    params = EwensParams(n=8, theta=1.0)
+    A = random_centered(8, 1.0, 170)
+    for other, other_params in (
+        (random_centered(8, 3.0, 170), EwensParams(n=8, theta=3.0)),
+        (random_centered(8, 1.0, 171), params),
+    ):
+        sampler = SquareBiasSampler(other, other_params)
+        with pytest.raises(ValueError, match="another matrix or params"):
+            sample_zero_bias_batch(A, params, 20, seed=0, sampler=sampler)
+    # a sampler built separately for an equal matrix and params is the same
+    same = sample_zero_bias_batch(
+        A, params, 20, seed=0, sampler=SquareBiasSampler(random_centered(8, 1.0, 170), params)
+    )
+    own = sample_zero_bias_batch(A, params, 20, seed=0)
+    assert all(np.array_equal(same[k], own[k]) for k in own)
 
 
 def test_batch_draws_the_square_bias_law():

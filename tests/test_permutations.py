@@ -1,7 +1,13 @@
 import pytest
 
-from ewens_stein.oracle import cycle_type, mapping_cycle_count, mapping_cycles, reduce_delete
-from ewens_stein.permutations import CycleType, Permutation
+from ewens_stein.ewens import EwensParams, cycle_type_pmf
+from ewens_stein.oracle import (
+    Permutation,
+    cycle_type,
+    mapping_cycle_count,
+    mapping_cycles,
+    reduce_delete,
+)
 
 
 def test_image_roundtrip_and_call():
@@ -46,17 +52,24 @@ def test_cycles_and_cycle_type():
     assert p.cycles() == ((1, 2), (3, 4, 5), (6,))
     assert p.cycle_count() == 3
     ct = cycle_type(p)
-    assert ct.counts == (1, 1, 1, 0, 0, 0)
-    assert ct.is_valid()
-    assert ct.cycle_count() == 3
-    assert cycle_type(Permutation.identity(4)).counts == (4, 0, 0, 0)
+    assert ct == (1, 1, 1, 0, 0, 0)
+    assert sum(j * c for j, c in enumerate(ct, start=1)) == p.n
+    assert sum(ct) == 3
+    assert cycle_type(Permutation.identity(4)) == (4, 0, 0, 0)
 
 
 def test_cycle_type_validity():
-    assert not CycleType((1, 1, 1)).is_valid()  # weight 6 != n = 3
-    assert CycleType((1, 1, 0, 0, 0)).weight() == 3
-    with pytest.raises(ValueError):
-        CycleType((1, -1))
+    # a count vector of weight sum_j j*c_j != n has no permutation
+    assert cycle_type_pmf((1, 1, 1), EwensParams(n=3, theta=1.0)) == 0.0  # weight 6
+    assert cycle_type_pmf((1, 1, 0, 0, 0), EwensParams(n=5, theta=2.0)) == 0.0  # weight 3
+    assert cycle_type_pmf((1, 1, 0), EwensParams(n=3, theta=1.0)) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cycle_type_pmf((1, -1), EwensParams(n=2, theta=1.0))
+    with pytest.raises(ValueError, match="^cycle counts must be nonnegative$"):
+        cycle_type_pmf((1, -1, 1), EwensParams(n=3, theta=1.0))
+    # weight 2 - 2 + 3 = n, but a negative count is still no cycle type
+    with pytest.raises(ValueError, match="nonnegative"):
+        cycle_type_pmf((2, -1, 1), EwensParams(n=3, theta=1.0))
 
 
 def test_cycle_len():
