@@ -13,20 +13,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import montecarlo
 from .distances import (
-    MIN_EMPIRICAL_SAMPLES,
     DistanceEstimate,
+    _check_sample_count,
     empirical_distances,
     exact_distances,
 )
 from .ewens import EwensParams, c1_moments, falling_factorial
-from .oracle import MAX_MARGINAL_N, exact_statistic_law
-from .statistic import center, sigma_squared
+from .oracle import exact_statistic_law
+from .statistic import _check_case_n, center, sigma_squared
 
 __all__ = [
     "kappa1",
@@ -72,13 +72,10 @@ def remainder_bounds(
         |E Y'R| <= (10 kappa1 + 4 theta + 4(kappa1(theta+1) + kappa2)/n)
                    * M sigma/(n-1)
     """
-    n, theta = params.n, params.theta
-    if n < 6:
-        raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
+    _check_alpha_args(params, M)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if M < 0:
-        raise ValueError(f"M must be nonnegative, got {M}")
+    n, theta = params.n, params.theta
     k1, k2 = kappa1(params), kappa2(params)
     e_abs_r = theta * M * (12 * n + 8 * theta - 10) / (
         (n - 1) * (theta + n - 1)
@@ -90,8 +87,7 @@ def remainder_bounds(
 
 
 def _check_alpha_args(params: EwensParams, M: float) -> None:
-    if params.n < 6:
-        raise ValueError(f"the case analysis requires n >= 6, got n = {params.n}")
+    _check_case_n(params.n)
     if M < 0:
         raise ValueError(f"M must be nonnegative, got {M}")
 
@@ -208,24 +204,8 @@ class BoundReport:
     provenance: dict
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "theta": self.theta,
-            "sigma": self.sigma,
-            "M": self.M,
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "d1_upper": self.d1_upper,
-            "dinf_upper": self.dinf_upper,
-            "dinf_lower": self.dinf_lower,
-            "d1_empirical": self.d1_empirical.to_json() if self.d1_empirical else None,
-            "dinf_empirical": self.dinf_empirical.to_json() if self.dinf_empirical else None,
-            "d1_exact": self.d1_exact,
-            "dinf_exact": self.dinf_exact,
-            "provenance": self.provenance,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.to_json() if isinstance(v, DistanceEstimate) else v for k, v in values.items()}
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
@@ -239,26 +219,8 @@ class BoundReport:
             return str(x)
 
         return ",".join(
-            fmt(x)
-            for x in (
-                self.n,
-                self.theta,
-                self.sigma,
-                self.M,
-                self.kappa1,
-                self.kappa2,
-                self.alpha1,
-                self.alpha2,
-                self.d1_upper,
-                self.dinf_upper,
-                self.dinf_lower,
-                self.d1_empirical.d1 if self.d1_empirical else None,
-                self.dinf_empirical.d_inf if self.dinf_empirical else None,
-                self.provenance.get("samples"),
-                self.provenance.get("seed"),
-                self.d1_exact,
-                self.dinf_exact,
-            )
+            fmt(_DERIVED_COLUMNS[c](self) if c in _DERIVED_COLUMNS else getattr(self, c))
+            for c in CSV_COLUMNS.split(",")
         )
 
 
@@ -267,6 +229,14 @@ CSV_COLUMNS = (
     "n,theta,sigma,M,kappa1,kappa2,alpha1,alpha2,"
     "d1_upper,dinf_upper,dinf_lower,d1_emp,dinf_emp,samples,seed,d1_exact,dinf_exact"
 )
+
+# the CSV columns that are not BoundReport fields; every other column is one
+_DERIVED_COLUMNS = {
+    "d1_emp": lambda r: r.d1_empirical.d1 if r.d1_empirical else None,
+    "dinf_emp": lambda r: r.dinf_empirical.d_inf if r.dinf_empirical else None,
+    "samples": lambda r: r.provenance.get("samples"),
+    "seed": lambda r: r.provenance.get("seed"),
+}
 
 
 def bound_report(
@@ -293,51 +263,24 @@ def bound_report(
 
     d1_exact = dinf_exact = None
     if exact:
-        if params.n > MAX_MARGINAL_N:
-            raise ValueError(
-                f"exact distances need full enumeration, capped at n <= {MAX_MARGINAL_N}; "
-                f"got n = {params.n}"
-            )
+        # exact_statistic_law enumerates S_n and rejects n above its cap
         law = exact_statistic_law(score.centered, params)
         d1_exact, dinf_exact = exact_distances(law, 0.0, sigma)
 
+    provenance = {"seed": seed, "samples": samples or None, "sigma_method": "closed-form"}
     d1_emp = dinf_emp = None
     if samples:
-        if samples < MIN_EMPIRICAL_SAMPLES:
-            raise ValueError(
-                f"empirical distances need at least {MIN_EMPIRICAL_SAMPLES} samples; "
-                f"got {samples}"
-            )
+        _check_sample_count(samples)
         draws = montecarlo.sample_statistic_batch(
             score, params, samples, np.random.SeedSequence([int(0 if seed is None else seed), 2])
         )
         d1_emp, dinf_emp = empirical_distances(draws / sigma)
-
-    provenance = {
-        "seed": seed,
-        "samples": samples or None,
-        "sigma_method": "closed-form",
-    }
-    if samples:
         # the partition depends on (n, samples) alone, never on the workers
         chunks = montecarlo.chunk_counts(samples, montecarlo.batch_chunk_size(params.n))
         provenance["chunks"] = len(chunks)
         provenance["largest_chunk"] = chunks[0]
+    # positional, in field order: the field names stand only in the dataclass
     return BoundReport(
-        n=params.n,
-        theta=params.theta,
-        sigma=sigma,
-        M=M,
-        kappa1=k1,
-        kappa2=k2,
-        alpha1=a1,
-        alpha2=a2,
-        d1_upper=a1 / sigma,
-        dinf_upper=a2 / sigma,
-        dinf_lower=lower,
-        d1_empirical=d1_emp,
-        dinf_empirical=dinf_emp,
-        d1_exact=d1_exact,
-        dinf_exact=dinf_exact,
-        provenance=provenance,
+        params.n, params.theta, sigma, M, k1, k2, a1, a2, a1 / sigma, a2 / sigma, lower,
+        d1_emp, dinf_emp, d1_exact, dinf_exact, provenance,
     )

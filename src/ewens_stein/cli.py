@@ -115,10 +115,26 @@ def _resolve_matrix(args, n: int, seed_key: list[int]) -> np.ndarray:
     return _generate_matrix(args.generator, n, rng)
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy's SeedSequence takes nonnegative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _report(args, n: int, theta: float, combo: int):
+    params = EwensParams(n=n, theta=theta)
+    A = _resolve_matrix(args, n, [args.seed, combo])
+    return bound_report(A, params, samples=args.samples, seed=args.seed, exact=args.exact)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -133,23 +149,17 @@ def cmd_pmf(args) -> int:
         raise UsageError("pmf needs exactly one of --perm or --ctype")
     params = EwensParams(n=args.n, theta=args.theta)
     if args.perm is not None:
-        images = _parse_ints(args.perm, "permutation")
-        if len(images) != args.n:
-            raise UsageError(f"permutation has {len(images)} entries but n = {args.n}")
-        value = ewens_pmf(images, params)
+        value = ewens_pmf(_parse_ints(args.perm, "permutation"), params)
     else:
+        # a short count vector is padded; cycle_type_pmf rejects a long one
         counts = _parse_ints(args.ctype, "cycle type")
-        if len(counts) > args.n:
-            raise UsageError(f"cycle type has {len(counts)} entries but n = {args.n}")
         value = cycle_type_pmf(counts + [0] * (args.n - len(counts)), params)
     print(value)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    params = EwensParams(n=args.n, theta=args.theta)
-    A = _resolve_matrix(args, args.n, [args.seed, 0])
-    report = bound_report(A, params, samples=args.samples, seed=args.seed, exact=args.exact)
+    report = _report(args, args.n, args.theta, 0)
     if args.format == "json":
         _emit(report.to_json_str() + "\n", args.out)
     else:
@@ -171,11 +181,7 @@ def cmd_experiment(args) -> int:
     for combo, (n, theta) in enumerate((n, t) for n in ns for t in thetas):
         # a failing cell is reported and skipped; the healthy rows still print
         try:
-            params = EwensParams(n=n, theta=theta)
-            A = _resolve_matrix(args, n, [args.seed, combo])
-            reports.append(
-                bound_report(A, params, samples=args.samples, seed=args.seed, exact=args.exact)
-            )
+            reports.append(_report(args, n, theta, combo))
         except _FAILURES as exc:
             print(f"error: n = {n}, theta = {theta!r}: {exc}", file=sys.stderr)
             failed = max(failed, _exit_code(exc))
@@ -212,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", type=str, default=None, help="CSV or JSON matrix path")
         p.add_argument("--generator", type=str, default="uniform01", choices=GENERATORS)
         p.add_argument("--samples", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--exact", action="store_true")
         p.add_argument("--symmetrize", action="store_true")
         p.add_argument("--format", type=str, default="json", choices=("json", "csv"))

@@ -37,6 +37,7 @@ from .statistic import (
     _bucket_factors,
     _bucket_weights,
     _case_constraints,
+    _check_matrix_params,
     _constraint_b,
     _pair_sums,
     _square_sum_coefficients,
@@ -65,13 +66,9 @@ def index_square_bias_weights(
     b^2 times the constraint probability.  Normalizing the matrix gives the
     index-pair law; the grand sum divided by n(n-1) is E(Y'-Y'')^2.
     """
-    n = params.n
-    if A.n != n:
-        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {n}")
-    if n < 6:
-        raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
-    # SquareBiasSampler passes the _pair_sums of A it already holds
+    # SquareBiasSampler checks A and passes the _pair_sums of A it holds
     if _sums is None:
+        _check_matrix_params(A, params, cases=True)
         _sums = _pair_sums(A.centered)[1]
     W = sum(_bucket_weights(_sums, _bucket_factors(params)))
     if not W.any():
@@ -106,12 +103,7 @@ class SquareBiasSampler:
     """
 
     def __init__(self, A: ScoreMatrix, params: EwensParams):
-        if A.n != params.n:
-            raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {params.n}")
-        if params.n < 6:
-            raise ValueError(
-                f"the case analysis requires n >= 6, got n = {params.n}"
-            )
+        _check_matrix_params(A, params, cases=True)
         self.A = A
         self.params = params
         self.n = params.n

@@ -10,7 +10,7 @@ convention for the inequality at jump points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -83,14 +83,7 @@ class DistanceEstimate:
             raise ValueError(f"method must be 'exact' or 'empirical', got {self.method!r}")
 
     def to_json(self) -> dict:
-        return {
-            "d1": self.d1,
-            "d_inf": self.d_inf,
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-            "ci_halfwidth": self.ci_halfwidth,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
@@ -99,13 +92,17 @@ def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * erfc, 0.0, 1.0)
 
 
+def _check_sample_count(count: int) -> None:
+    if count < MIN_EMPIRICAL_SAMPLES:
+        raise ValueError(
+            f"empirical distances need at least {MIN_EMPIRICAL_SAMPLES} samples; got {count}"
+        )
+
+
 def _sorted_samples(samples) -> np.ndarray:
     raw = np.asarray(samples, dtype=float)
     w = np.sort(raw)
-    if len(w) < MIN_EMPIRICAL_SAMPLES:
-        raise ValueError(
-            f"empirical distances need at least {MIN_EMPIRICAL_SAMPLES} samples; got {len(w)}"
-        )
+    _check_sample_count(len(w))
     # sorting puts -inf first and +inf and NaN last
     if not (math.isfinite(w[0]) and math.isfinite(w[-1])):
         k = int(np.flatnonzero(~np.isfinite(raw))[0])

@@ -119,7 +119,7 @@ def ewens_pmf(images: Sequence[int], params: EwensParams) -> float:
     images (images[i-1] = pi(i)), as in a ``sample_crp_images`` row."""
     n = params.n
     if len(images) != n:
-        raise ValueError(f"permutation is on [{len(images)}] but params.n = {n}")
+        raise ValueError(f"permutation has {len(images)} images but params.n = {n}")
     seen = [False] * (n + 1)
     for x in images:
         if not 1 <= x <= n:
@@ -151,7 +151,7 @@ def cycle_type_pmf(counts: Sequence[int], params: EwensParams) -> float:
     if any(c < 0 for c in counts):
         raise ValueError("cycle counts must be nonnegative")
     if len(counts) != n:
-        raise ValueError(f"cycle type is for n = {len(counts)}, params.n = {n}")
+        raise ValueError(f"cycle type has {len(counts)} counts but params.n = {n}")
     if sum(j * c for j, c in enumerate(counts, start=1)) != n:
         return 0.0
     # n! / prod_j j^{c_j} c_j! permutations share the cycle type

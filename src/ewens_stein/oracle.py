@@ -648,7 +648,10 @@ def exact_statistic_law(A: np.ndarray, params: EwensParams) -> DiscreteLaw:
     # sum, which adds left to right below 8 terms and as a tree at 8
     t = [a[k].take(columns[k]) for k in range(n)]
     if n == 8:
-        ys = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+        for step in (1, 2, 4):  # in place: ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7))
+            for k in range(0, 8, 2 * step):
+                t[k] += t[k + step]
+        ys = t[0]
         ys += 0.0
     else:
         ys = sum(t, 0.0)

@@ -145,6 +145,26 @@ def block_statistic(padded: np.ndarray, block: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_case_n(n: int) -> None:
+    """The paper's case analysis of a pair's configurations needs n >= 6."""
+    if n < 6:
+        raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
+
+
+def _check_matrix_params(A: ScoreMatrix, params: EwensParams, *, cases: bool = False) -> None:
+    """A must be n x n and centered under params.theta (with ``cases``, also
+    n >= 6): under another theta E[Y] != 0, and no Stein identity holds."""
+    if A.n != params.n:
+        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {params.n}")
+    if A.theta_used != params.theta:
+        raise ValueError(
+            f"matrix was centered under theta = {A.theta_used} "
+            f"but params.theta = {params.theta}"
+        )
+    if cases:
+        _check_case_n(params.n)
+
+
 def _case_constraints(
     n: int, i: int, j: int, r: int, s: int, k: int, l: int
 ) -> dict[int, int]:
@@ -220,9 +240,10 @@ def t_statistic(A: ScoreMatrix, images: Sequence[int], params: EwensParams) -> f
     T = sum_{i in F} w_i - 4 theta tr A_hat (``_t_weights``), and the
     Stein remainder is R(Y') = E[T | Y']/(n(n-1)).
     """
+    _check_matrix_params(A, params)
     images = np.asarray(images)
-    if images.shape != (params.n,) or A.n != params.n:
-        raise ValueError("size mismatch between matrix, permutation, and params")
+    if images.shape != (params.n,):
+        raise ValueError(f"permutation has shape {images.shape} but params.n = {params.n}")
     w, tr = _t_weights(A.centered)
     fixed = images == np.arange(1, params.n + 1)
     return float(w[fixed].sum()) - 4.0 * params.theta * tr
@@ -231,18 +252,6 @@ def t_statistic(A: ScoreMatrix, images: Sequence[int], params: EwensParams) -> f
 # ---------------------------------------------------------------------------
 # Variance decomposition
 # ---------------------------------------------------------------------------
-
-
-def _check_matrix_params(A: ScoreMatrix, params: EwensParams) -> None:
-    """A must be n x n and centered under params.theta: a matrix centered
-    under another theta has E[Y] != 0, so E[Y^2] would not be Var(Y)."""
-    if A.n != params.n:
-        raise ValueError(f"matrix is {A.n}x{A.n} but params.n = {params.n}")
-    if A.theta_used != params.theta:
-        raise ValueError(
-            f"matrix was centered under theta = {A.theta_used} "
-            f"but params.theta = {params.theta}"
-        )
 
 
 def sigma_squared(A: ScoreMatrix, params: EwensParams) -> float:
@@ -319,9 +328,7 @@ def variance_decomposition(
     sigma^2 = (n/8) E(Y'-Y'')^2 + (n/4) E[Y'R].
     """
     n, theta = params.n, params.theta
-    _check_matrix_params(A, params)
-    if n < 6:
-        raise ValueError(f"the case analysis requires n >= 6, got n = {n}")
+    _check_matrix_params(A, params, cases=True)
     sigma_sq = sigma_squared(A, params)
     c = A.centered
     w, _ = _t_weights(c)

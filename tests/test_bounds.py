@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -246,3 +247,25 @@ def test_bound_report_serialization():
     # empirical columns are empty when no samples were drawn
     assert fields[11] == "" and fields[12] == "" and fields[13] == ""
     assert isinstance(rep, BoundReport)
+
+
+def test_report_schema_comes_from_the_dataclass():
+    """to_json's keys are BoundReport's fields, and every CSV column is a
+    field or one of the four columns derived from the empirical estimates
+    and the provenance, so a new field is written in the dataclass and
+    CSV_COLUMNS only."""
+    names = [f.name for f in dataclasses.fields(BoundReport)]
+    for kwargs in ({}, {"exact": True, "samples": 2000, "seed": 4}):
+        rep = bound_report(INT_MATRIX, EwensParams(n=6, theta=1.0), **kwargs)
+        assert list(rep.to_json()) == names
+        assert json.loads(rep.to_json_str()) == json.loads(
+            json.dumps(dataclasses.asdict(rep), sort_keys=True)
+        )
+    derived = {"d1_emp", "dinf_emp", "samples", "seed"}
+    columns = CSV_COLUMNS.split(",")
+    assert set(columns) - set(names) == derived
+    assert len(columns) == len(set(columns))
+    row = dict(zip(columns, rep.csv_row().split(",")))
+    assert float(row["d1_emp"]) == rep.d1_empirical.d1
+    assert float(row["dinf_emp"]) == rep.dinf_empirical.d_inf
+    assert row["samples"] == "2000" and row["seed"] == "4"

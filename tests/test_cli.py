@@ -283,6 +283,24 @@ def test_experiment_empty_grid(capsys):
     assert "grid is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["bounds", "--n", "6"], ["experiment", "--n", "6", "--theta", "1"]])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "report.json"
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["bounds", "--n", "6"], ["experiment", "--n", "6", "--theta", "1"]])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_names_the_flag(capsys, command, seed):
+    assert main([*command, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: expected a nonnegative integer, got {seed!r}" in captured.err
+
+
 def test_argparse_errors_exit_2(capsys):
     assert main(["bounds"]) == 2  # missing required --n
     capsys.readouterr()

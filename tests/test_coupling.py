@@ -36,6 +36,7 @@ from ewens_stein.statistic import (
     _pair_sums,
     b_value,
     center,
+    t_statistic,
     variance_decomposition,
 )
 
@@ -450,6 +451,22 @@ def test_batch_rejects_a_mismatched_sampler():
     )
     own = sample_zero_bias_batch(A, params, 20, seed=0)
     assert all(np.array_equal(same[k], own[k]) for k in own)
+
+
+def test_stein_routines_reject_a_matrix_centered_under_another_theta():
+    """A matrix centered under theta = 3 has E[Y] != 0 under theta = 1, so
+    every Stein routine refuses it with theta = 1 params, as sigma^2 does."""
+    params = EwensParams(n=8, theta=1.0)
+    A = random_centered(8, 3.0, 172)
+    calls = (
+        lambda: SquareBiasSampler(A, params),
+        lambda: index_square_bias_weights(A, params),
+        lambda: sample_zero_bias_batch(A, params, 2000, seed=0),
+        lambda: t_statistic(A, list(range(1, 9)), params),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="centered under theta = 3.0 but params.theta = 1.0"):
+            call()
 
 
 def test_batch_draws_the_square_bias_law():
