@@ -2,11 +2,11 @@
 measure, and the generic three-term zero-bias bounds they instantiate.
 
 kappa1/kappa2 are the square roots of the fixed-point count's second and
-squared second-factorial moments; alpha1/alpha2 are the closed-form bound
-numerators, so that d1 <= alpha1/sigma and d_inf <= alpha2/sigma, with the
-integer-matrix lower bound 1/(6*sqrt(3)*sigma + 3) on d_inf.  The
-closed-form bounds on the remainder moments E|R| and |E Y'R| that the
-constants rest on are ``remainder_bounds``.
+squared second-factorial moments; alpha1/alpha2 are the bound numerators,
+so that d1 <= alpha1/sigma and d_inf <= alpha2/sigma, with the
+integer-matrix lower bound 1/(6*sqrt(3)*sigma + 3) on d_inf.  Each alpha
+is ``generic_zero_bias_bounds`` at lam = 4/n, delta = 20M and the
+closed-form bounds ``remainder_bounds`` on E|R| and |E Y'R|, rounded.
 """
 
 from __future__ import annotations
@@ -92,42 +92,36 @@ def _check_alpha_args(params: EwensParams, M: float) -> None:
         raise ValueError(f"M must be nonnegative, got {M}")
 
 
-def alpha1(params: EwensParams, M: float) -> float:
-    """Numerator of the L1 bound: d1(L(W), L(Z)) <= alpha1 / sigma."""
+def _alpha_inputs(params: EwensParams, M: float) -> tuple[float, float, float, float]:
+    """The three-term bound's (lam, delta, e_yr, e_abs_r) behind alpha1 and
+    alpha2, at sigma = 1: lam = 4/n, delta = 20M, and ``remainder_bounds``
+    with n/(n-1) <= 6/5 folded in."""
     _check_alpha_args(params, M)
     n, theta = params.n, params.theta
     k1, k2 = kappa1(params), kappa2(params)
-    return (
-        40.0 * M
-        + k1 * _SQRT_2_OVER_PI * M * (3.0 + (theta + 1.0) / (n - 1.0))
-        + k2 * _SQRT_2_OVER_PI * M / (n - 1.0)
-        + theta
-        * M
-        * (
-            1.2 * _SQRT_2_OVER_PI
-            + 1.2 * (6.0 * n + 4.0 * theta - 5.0) / (theta + n - 1.0)
-            + theta * n / falling_factorial(theta + n - 1, 2)
-        )
+    lam = 4.0 / n
+    e_yr = lam * M * (3.0 * k1 + 1.2 * theta + (k1 * (theta + 1.0) + k2) / (n - 1.0))
+    e_abs_r = lam * theta * M * (
+        0.6 * (6.0 * n + 4.0 * theta - 5.0) / (theta + n - 1.0)
+        + 0.5 * theta * n / falling_factorial(theta + n - 1, 2)
     )
+    return lam, 20.0 * M, e_yr, e_abs_r
+
+
+def alpha1(params: EwensParams, M: float) -> float:
+    """Numerator of the L1 bound, d1(L(W), L(Z)) <= alpha1 / sigma: sigma
+    times the three-term L1 bound at lam = 4/n, delta = 20M and the rounded
+    remainder inputs of ``_alpha_inputs``; sigma cancels, so the bound is
+    taken at sigma = 1."""
+    return generic_zero_bias_bounds(1.0, *_alpha_inputs(params, M), "L1")
 
 
 def alpha2(params: EwensParams, M: float) -> float:
-    """Numerator of the Kolmogorov bound: d_inf(L(W), L(Z)) <= alpha2 / sigma."""
-    _check_alpha_args(params, M)
-    n, theta = params.n, params.theta
-    k1, k2 = kappa1(params), kappa2(params)
-    return (
-        20.0 * KOLMOGOROV_GAP_COEFF * M
-        + k1 * M * (3.0 + (theta + 1.0) / (n - 1.0))
-        + k2 * M / (n - 1.0)
-        + theta
-        * M
-        * (
-            1.2
-            + 0.15 * _SQRT_2PI * (6.0 * n + 4.0 * theta - 5.0) / (theta + n - 1.0)
-            + 0.125 * _SQRT_2PI * theta * n / falling_factorial(theta + n - 1, 2)
-        )
-    )
+    """Numerator of the Kolmogorov bound, d_inf(L(W), L(Z)) <= alpha2 / sigma:
+    sigma times the three-term Linf bound at lam = 4/n, delta = 20M and the
+    rounded remainder inputs of ``_alpha_inputs``; sigma cancels, so the
+    bound is taken at sigma = 1."""
+    return generic_zero_bias_bounds(1.0, *_alpha_inputs(params, M), "Linf")
 
 
 def generic_zero_bias_bounds(

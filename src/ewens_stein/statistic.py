@@ -72,7 +72,12 @@ class ScoreMatrix:
     is_integer: bool
 
 
-def _check_square_symmetric(A: np.ndarray) -> np.ndarray:
+def grand_mean(A: np.ndarray, params: EwensParams) -> float:
+    """The Ewens-weighted grand mean: (theta * tr A + off-diagonal sum) / (n(theta+n-1)).
+
+    This is exactly E[Y]/n, the constant whose removal centers the statistic.
+    A must be a finite, square, symmetric matrix.
+    """
     a = np.asarray(A, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"score matrix must be square, got shape {a.shape}")
@@ -89,15 +94,6 @@ def _check_square_symmetric(A: np.ndarray) -> np.ndarray:
             f"score matrix is not symmetric: entry ({i + 1}, {j + 1}) = {a[i, j]} "
             f"but ({j + 1}, {i + 1}) = {a[j, i]}"
         )
-    return a
-
-
-def grand_mean(A: np.ndarray, params: EwensParams) -> float:
-    """The Ewens-weighted grand mean: (theta * tr A + off-diagonal sum) / (n(theta+n-1)).
-
-    This is exactly E[Y]/n, the constant whose removal centers the statistic.
-    """
-    a = _check_square_symmetric(A)
     n = params.n
     if a.shape[0] != n:
         raise ValueError(f"matrix is {a.shape[0]}x{a.shape[0]} but params.n = {n}")
@@ -109,10 +105,11 @@ def grand_mean(A: np.ndarray, params: EwensParams) -> float:
 
 def center(A: np.ndarray, params: EwensParams) -> ScoreMatrix:
     """Subtract the grand mean so that E[Y] = 0; idempotent."""
-    a = _check_square_symmetric(A)
+    a = np.asarray(A, dtype=float)
+    # grand_mean checks a
     mean = grand_mean(a, params)
     centered = a - mean
-    max_abs = float(np.max(np.abs(centered)))
+    max_abs = float(max(centered.max(), -centered.min()))
     if not math.isfinite(max_abs):
         raise OverflowError(
             f"centering overflows double precision at theta = {params.theta}"
@@ -259,42 +256,38 @@ def sigma_squared(A: ScoreMatrix, params: EwensParams) -> float:
     variance formula for the combinatorial CLT.
 
     With E[Y] = 0 on the centered matrix, E[Y^2] needs only the one- and
-    two-point constraint probabilities theta^loops / (theta+n-1)_(m).  With
-    G = theta I + (1 - I) and B = A_hat o G:
+    two-point constraint probabilities theta^loops / (theta+n-1)_(m).  On
+    the symmetric A_hat, with d = diag A_hat, rho its row sums,
+    Q = sum A_hat^2 + (theta-1) |d|^2 and r = rho + (theta-1) d:
 
-        sigma^2 = sum(A_hat^2 o G) / (theta+n-1)
-                + [ (sum B)^2 - |rowsum B|^2 - |colsum B|^2 + sum B^2
-                    + (theta-1) sum_{i != j} a_ij a_ji ] / (theta+n-1)_(2)
+        sigma^2 = Q/(theta+n-1) + (theta Q - 2|r|^2 + (sum r)^2)/(theta+n-1)_(2)
 
-    The bracket sums b_ij b_kl over i != k, j != l; the last term gives the
-    2-cycles i <-> j their closed-loop weight theta.
+    one pass over A_hat and O(n) temporaries.  The second term sums the
+    products of entries at i != k, j != l; theta Q gives the 2-cycles
+    i <-> j their closed-loop weight theta.
     """
     n, theta = params.n, params.theta
     _check_matrix_params(A, params)
     if n < 2:
         raise ValueError(f"sigma^2 needs n >= 2, got n = {n}")
     a = A.centered
-    g = np.ones((n, n))
-    np.fill_diagonal(g, theta)
-    swap = a * a.T
+    d = a.diagonal()
+    flat = a.ravel()
     # theta * a_ii enters squared: past ~1e154 / (n M) the sums overflow
     try:
         with np.errstate(over="raise", invalid="raise"):
-            b = a * g
-            one_point = float((a * b).sum()) / (theta + n - 1)
-            two_point = (
-                float(b.sum()) ** 2
-                - float((b.sum(axis=1) ** 2).sum())
-                - float((b.sum(axis=0) ** 2).sum())
-                + float((b * b).sum())
-                + (theta - 1.0) * float(swap.sum() - np.trace(swap))
-            ) / falling_factorial(theta + n - 1, 2)
-    except (OverflowError, FloatingPointError):
+            q = flat @ flat + (theta - 1.0) * (d @ d)
+            r = a.sum(axis=1) + (theta - 1.0) * d
+            sigma_sq = float(
+                q / (theta + n - 1)
+                + (theta * q - 2.0 * (r @ r) + r.sum() ** 2)
+                / falling_factorial(theta + n - 1, 2)
+            )
+    except FloatingPointError:
         raise OverflowError(
             f"sigma^2 overflows double precision at theta = {theta} "
             f"with max|a| = {A.max_abs}"
         ) from None
-    sigma_sq = one_point + two_point
     if sigma_sq <= DEGENERATE_SIGMA_FACTOR * (n * A.max_abs) ** 2:
         raise DegenerateError(
             f"degenerate variance: sigma^2 = {sigma_sq} is at the noise floor"

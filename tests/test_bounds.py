@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ def test_bound_report_sigma_is_deterministic(monkeypatch):
         assert "eyr_ci" not in rep.provenance
         assert "mc_eyr_samples" not in rep.provenance
         assert rep.provenance["sigma_method"] == "closed-form"
+
+
+def test_bound_report_memory_is_a_few_matrices():
+    """Without samples a report holds the centered matrix plus one
+    matrix-sized temporary at a time: at n = 1000 its tracemalloc peak
+    stays below three times the 8 MB input."""
+    n = 1000
+    raw = np.random.default_rng(17).random((n, n))
+    raw = (raw + raw.T) / 2
+    tracemalloc.start()
+    try:
+        bound_report(raw, EwensParams(n=n, theta=1.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * raw.nbytes, peak
 
 
 def test_bound_report_scale_equivariance():

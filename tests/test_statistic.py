@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -328,6 +329,56 @@ def test_variance_matches_exact_law():
         A = center(INT_MATRIX, params)
         law = exact_statistic_law(A.centered, params)
         assert sigma_squared(A, params) == pytest.approx(law.variance(), rel=1e-12)
+
+
+def _exact_sigma_squared(c, theta):
+    """Var(Y) from the general two-point formula, G = theta I + (1 - I) and
+    B = A_hat o G, in exact rationals at the float entries and theta:
+    sum(A_hat^2 o G)/(theta+n-1) + [(sum B)^2 - |rowsum B|^2 - |colsum B|^2
+    + sum B^2 + (theta-1) sum_{i != j} a_ij a_ji]/(theta+n-1)_(2)."""
+    n, t = len(c), Fraction(theta)
+    a = [[Fraction(float(x)) for x in row] for row in c]
+    b = [[x * (t if i == j else 1) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    one_point = sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    two_point = (
+        sum(map(sum, b)) ** 2
+        - sum(sum(row) ** 2 for row in b)
+        - sum(sum(col) ** 2 for col in zip(*b))
+        + sum(x * x for row in b for x in row)
+        + (t - 1) * sum(a[i][j] * a[j][i] for i in range(n) for j in range(n) if i != j)
+    )
+    return one_point / (t + n - 1) + two_point / ((t + n - 1) * (t + n - 2))
+
+
+def test_sigma_squared_matches_exact_rationals():
+    """The one-pass symmetric sigma^2 against the general G/B formula
+    evaluated exactly, above the n <= 8 reach of the enumerated law."""
+    for n in (13, 50):
+        for k, theta in enumerate((0.3, 1.0, 2.5)):
+            params = EwensParams(n=n, theta=theta)
+            rng = np.random.default_rng([61, n, k])
+            raw = rng.random((n, n))
+            ints = rng.integers(-9, 10, (n, n))
+            for matrix in ((raw + raw.T) / 2.0, (ints + ints.T).astype(float)):
+                A = center(matrix, params)
+                exact = _exact_sigma_squared(A.centered, theta)
+                got = sigma_squared(A, params)
+                assert abs(Fraction(got) - exact) <= Fraction(1, 10**13) * exact
+
+
+def test_sigma_squared_memory_is_a_few_vectors():
+    """sigma^2 reads the (n, n) matrix in one pass with O(n) temporaries:
+    at n = 1000 (an 8 MB matrix) its tracemalloc peak stays below 1 MB."""
+    n = 1000
+    params = EwensParams(n=n, theta=1.3)
+    A = random_centered(n, 1.3, 62)
+    tracemalloc.start()
+    try:
+        sigma_squared(A, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_ydiff_matches_conjugation_enumeration():
